@@ -49,7 +49,7 @@ int main() {
   // Ad-hoc chips are experiment data too: a JobSpec can embed the raw
   // BenchmarkProfiles (one per hardware context), so custom workloads run
   // on any backend — including `mflushsim --worker` subprocesses, which
-  // rebuild the chip from the serialized profiles in the job file.
+  // rebuild the chip from the serialized profiles in the job archive.
   const std::vector<PolicySpec> policies = {
       PolicySpec::icount(), PolicySpec::flush_spec(30), PolicySpec::mflush()};
   std::vector<JobSpec> jobs;

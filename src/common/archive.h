@@ -21,8 +21,8 @@
 namespace mflush {
 
 /// FNV-1a over a byte span — the trailing-checksum hash shared by every
-/// archive-based file format (snapshots, experiment specs, worker job and
-/// result files).
+/// archive-based format (snapshots, experiment specs, worker job and
+/// result archives).
 [[nodiscard]] inline std::uint64_t fnv1a(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 14695981039346656037ull;

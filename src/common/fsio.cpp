@@ -35,12 +35,19 @@ void write_file_atomic(const std::string& path,
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail("cannot open for write", tmp);
 
+  // Each failure path unlinks the temp, which clobbers errno: save it
+  // first, or the message reports unlink's error instead of the real one.
+  const auto fail_unlinked = [&](const char* what, const std::string& name) {
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    errno = saved;
+    fail(what, name);
+  };
   const auto cleanup_failed = [&](const char* what) {
     const int saved = errno;
     ::close(fd);
-    ::unlink(tmp.c_str());
     errno = saved;
-    fail(what, tmp);
+    fail_unlinked(what, tmp);
   };
 
   std::size_t off = 0;
@@ -56,14 +63,9 @@ void write_file_atomic(const std::string& path,
   // *complete* file: without it a crash can leave the new name pointing at
   // zero-length data even though the rename itself survived.
   if (durable && ::fsync(fd) != 0) cleanup_failed("fsync failed");
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    fail("close failed", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    fail("rename failed", path);
-  }
+  if (::close(fd) != 0) fail_unlinked("close failed", tmp);
+  if (::rename(tmp.c_str(), path.c_str()) != 0)
+    fail_unlinked("rename failed", path);
   if (durable) {
     const std::string dir =
         std::filesystem::path(path).parent_path().string();

@@ -13,8 +13,8 @@
 /// the new complete file — never a plausible-looking truncated archive.
 /// `durable` additionally fsyncs the bytes before the rename and the parent
 /// directory after it, which is what makes the rename itself survive power
-/// loss; scratch protocol files skip the fsyncs (their lifetime is one
-/// worker invocation) but keep the atomicity.
+/// loss; files whose loss costs nothing may skip the fsyncs but keep the
+/// atomicity.
 namespace mflush::fsio {
 
 /// Write `bytes` to `path` via write-temp-then-atomic-rename. The temp

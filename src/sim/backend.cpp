@@ -1,23 +1,27 @@
 #include "sim/backend.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <istream>
+#include <ostream>
+#include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/env.h"
-#include "common/fsio.h"
+#include "common/sockio.h"
 #include "sim/campaign.h"
 #include "sim/parallel.h"
 #include "sim/remote.h"
@@ -126,50 +130,70 @@ std::pair<std::uint32_t, RunResult> get_result(ArchiveReader& ar) {
   return {id, std::move(r)};
 }
 
-// ------------------------------------------------------- protocol file IO
+// ------------------------------------------------------------ protocol IO
 
 constexpr std::uint64_t kJobMagic = 0x4d464c55534a4f42ull;     // "MFLUSJOB"
 constexpr std::uint64_t kResultMagic = 0x4d464c5553524553ull;  // "MFLUSRES"
 
-/// Appends the trailing checksum and publishes the file via write-temp +
-/// atomic rename, so a reader (or a crash) can never observe a partially
-/// written protocol file. Scratch protocol files skip the fsync (durable
-/// results are the campaign layer's job).
-void write_archive_file(const std::string& path, ArchiveWriter&& ar) {
+/// Both protocol archives: magic, version, u64 entry count, the entries,
+/// and a trailing FNV-1a checksum over everything before it.
+template <typename PutEntries>
+std::vector<std::uint8_t> encode_archive(std::uint64_t magic,
+                                         std::size_t count,
+                                         PutEntries put_entries) {
+  ArchiveWriter ar;
+  ar.put(magic);
+  ar.put(worker::kProtocolVersion);
+  ar.put<std::uint64_t>(count);
+  put_entries(ar);
   ar.put(fnv1a(ar.bytes()));
-  fsio::write_file_atomic(path, ar.bytes(), /*durable=*/false);
+  return ar.take();
 }
 
-/// Validate trailing checksum + leading magic on a complete archive byte
-/// stream; strips the checksum in place. `name` identifies the source
-/// (a path, usually) in error messages.
-void check_archive(std::vector<std::uint8_t>& bytes, std::uint64_t magic,
-                   const char* what, const std::string& name) {
+/// Decode an encode_archive stream, rejecting a bad checksum, magic or
+/// version and trailing bytes. `what` names the format and `name` the
+/// source in error messages.
+template <typename Entry, typename GetEntry>
+std::vector<Entry> decode_archive(std::span<const std::uint8_t> bytes,
+                                  std::uint64_t magic, const std::string& what,
+                                  const std::string& name,
+                                  GetEntry get_entry) {
   if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error(std::string(what) + " truncated: " + name);
-  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+    throw std::runtime_error(what + " truncated: " + name);
+  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
   std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body, sizeof(stored));
-  if (fnv1a({bytes.data(), body}) != stored) {
-    throw std::runtime_error(std::string(what) + " checksum mismatch: " +
-                             name);
+  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
+  if (fnv1a(body) != stored)
+    throw std::runtime_error(what + " checksum mismatch: " + name);
+  ArchiveReader ar(body);
+  if (body.size() < sizeof(magic) || ar.get<std::uint64_t>() != magic)
+    throw std::runtime_error("not a " + what + ": " + name);
+  if (const auto v = ar.get<std::uint32_t>(); v != worker::kProtocolVersion) {
+    throw std::runtime_error(what + " protocol version " + std::to_string(v) +
+                             " incompatible with " +
+                             std::to_string(worker::kProtocolVersion));
   }
-  bytes.resize(body);
-
-  std::uint64_t seen = 0;
-  if (bytes.size() >= sizeof(seen))
-    std::memcpy(&seen, bytes.data(), sizeof(seen));
-  if (seen != magic)
-    throw std::runtime_error(std::string("not a ") + what + ": " + name);
+  const auto n = ar.get<std::uint64_t>();
+  std::vector<Entry> entries;
+  entries.reserve(std::min<std::uint64_t>(n, body.size()));
+  for (std::uint64_t i = 0; i < n; ++i) entries.push_back(get_entry(ar));
+  if (!ar.done())
+    throw std::runtime_error(what + " has trailing bytes: " + name);
+  return entries;
 }
 
-std::vector<std::uint8_t> read_checked_file(const std::string& path,
-                                            std::uint64_t magic,
-                                            const char* what) {
-  std::vector<std::uint8_t> bytes = fsio::read_file_bytes(path, what);
-  check_archive(bytes, magic, what, path);
-  return bytes;
-}
+/// Owns one file descriptor; closes it on destruction.
+struct Fd {
+  int fd = -1;
+  Fd() = default;
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() { reset(); }
+  void reset() noexcept {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+};
 
 /// argv[0] recorded at startup (record_argv0), the off-Linux fallback for
 /// default_worker_binary.
@@ -186,7 +210,9 @@ namespace proc {
 
 int spawn_and_wait(const std::string& bin,
                    const std::vector<std::string>& args,
-                   const std::string& what, unsigned timeout_s) {
+                   const std::string& what, unsigned timeout_s,
+                   std::span<const std::uint8_t> input,
+                   const OnOutput& on_output) {
   std::vector<char*> argv;
   argv.reserve(args.size() + 2);
   argv.push_back(const_cast<char*>(bin.c_str()));
@@ -194,43 +220,114 @@ int spawn_and_wait(const std::string& bin,
     argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
   const std::string context = what.empty() ? "" : " on " + what;
+  const auto fail = [&](const std::string& step) {
+    throw std::runtime_error(step + " failed for worker '" + bin + "'" +
+                             context + ": " + std::strerror(errno));
+  };
 
+  // Parent ends stay here (CLOEXEC, so concurrent spawns never inherit
+  // each other's pipes); child ends become the child's fd 0 / fd 1.
+  Fd in_parent, in_child, out_parent, out_child;
+  const auto make_pair = [&](Fd& parent, Fd& child) {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+      fail("socketpair");
+    parent.fd = sv[0];
+    child.fd = sv[1];
+  };
+  if (!input.empty()) make_pair(in_parent, in_child);
+  if (on_output) make_pair(out_parent, out_child);
+  posix_spawn_file_actions_t actions;
+  ::posix_spawn_file_actions_init(&actions);
+  if (in_child.fd >= 0)
+    ::posix_spawn_file_actions_adddup2(&actions, in_child.fd, STDIN_FILENO);
+  if (out_child.fd >= 0)
+    ::posix_spawn_file_actions_adddup2(&actions, out_child.fd,
+                                       STDOUT_FILENO);
   pid_t pid = 0;
-  if (const int rc = ::posix_spawnp(&pid, bin.c_str(), nullptr, nullptr,
-                                    argv.data(), environ);
-      rc != 0) {
+  const int rc = ::posix_spawnp(&pid, bin.c_str(), &actions, nullptr,
+                                argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) {
     throw std::runtime_error("failed to spawn worker '" + bin + "'" +
                              context + ": " + std::strerror(rc));
   }
+  in_child.reset();
+  out_child.reset();
 
-  int status = 0;
-  if (timeout_s == 0) {
-    while (::waitpid(pid, &status, 0) < 0) {
-      if (errno != EINTR)
-        throw std::runtime_error("waitpid failed for worker '" + bin + "'" +
-                                 context + ": " + std::strerror(errno));
+  // Until the child is reaped, every exit path (a deadline, a throwing
+  // on_output) kills and reaps it, so no zombie outlives this call.
+  struct Reaper {
+    pid_t pid;
+    bool reaped = false;
+    ~Reaper() {
+      if (reaped) return;
+      ::kill(pid, SIGKILL);
+      while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+      }
     }
-  } else {
-    // Deadline mode: poll with WNOHANG so a wedged child cannot block the
-    // scheduler forever; at the deadline, kill it and reap the corpse so
-    // the throw below leaves no zombie behind.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(timeout_s);
-    for (;;) {
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid) break;
-      if (r < 0 && errno != EINTR) {
-        throw std::runtime_error("waitpid failed for worker '" + bin + "'" +
-                                 context + ": " + std::strerror(errno));
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        ::kill(pid, SIGKILL);
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  } reaper{pid};
+  Fd exit_fd;  // readable once the child has exited
+  exit_fd.fd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (exit_fd.fd < 0) fail("pidfd_open");
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(timeout_s);
+  std::size_t sent = 0;
+  std::vector<std::uint8_t> chunk;
+  int status = 0;
+  // Run until the child has exited and its stdout is drained.
+  while (!reaper.reaped || out_parent.fd >= 0) {
+    pollfd fds[3];
+    nfds_t n = 0;
+    const auto watch = [&](const Fd& f, short events) {
+      if (f.fd >= 0) fds[n++] = {f.fd, events, 0};
+    };
+    if (!reaper.reaped) watch(exit_fd, POLLIN);
+    watch(in_parent, POLLOUT);
+    watch(out_parent, POLLIN);
+    int wait_ms = -1;
+    if (timeout_s != 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      wait_ms = static_cast<int>(std::max<std::int64_t>(0, left.count()));
+    }
+    const int ready = ::poll(fds, n, wait_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      fail("poll");
+    }
+    if (ready == 0) {
+      throw std::runtime_error("worker '" + bin + "' timed out after " +
+                               std::to_string(timeout_s) + "s" + context);
+    }
+    for (nfds_t i = 0; i < n; ++i) {
+      if (fds[i].revents == 0) continue;
+      if (fds[i].fd == exit_fd.fd) {
+        while (::waitpid(pid, &status, 0) < 0) {
+          if (errno != EINTR) fail("waitpid");
         }
-        throw std::runtime_error("worker '" + bin + "' timed out after " +
-                                 std::to_string(timeout_s) + "s" + context);
+        reaper.reaped = true;
+      } else if (fds[i].fd == in_parent.fd) {
+        const ssize_t w =
+            ::send(in_parent.fd, input.data() + sent, input.size() - sent,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (w > 0) sent += static_cast<std::size_t>(w);
+        if (w < 0 && errno != EAGAIN && errno != EINTR) {
+          // EPIPE/ECONNRESET: the child stopped reading. Its exit status
+          // says why; the unsent input is moot.
+          if (errno != EPIPE && errno != ECONNRESET) fail("stdin write");
+          in_parent.reset();
+        } else if (sent == input.size()) {
+          in_parent.reset();  // EOF for the child
+        }
+      } else if (fds[i].fd == out_parent.fd) {
+        chunk.clear();
+        if (sockio::read_some(out_parent.fd, chunk) == 0)
+          out_parent.reset();
+        else
+          on_output(chunk);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
   if (WIFSIGNALED(status)) {
@@ -242,12 +339,6 @@ int spawn_and_wait(const std::string& bin,
 
 }  // namespace proc
 
-ScratchGuard::~ScratchGuard() {
-  if (keep_) return;
-  std::error_code ec;
-  for (const std::string& p : paths_) std::filesystem::remove(p, ec);
-}
-
 // --------------------------------------------------------------- ResultSink
 
 void ResultSink::push(const JobSpec& job, RunResult result) {
@@ -257,8 +348,11 @@ void ResultSink::push(const JobSpec& job, RunResult result) {
     throw std::runtime_error("ResultSink: duplicate result for job " +
                              std::to_string(job.id));
   }
+  // The slot fills only once the callback has returned: a callback that
+  // throws (say, a disk error making the result durable) leaves the slot
+  // empty, so a retry meets that error again, not a "duplicate result".
+  if (on_result_) on_result_(job, result);
   slots_[job.id] = std::move(result);
-  if (on_result_) on_result_(job, *slots_[job.id]);
 }
 
 std::size_t ResultSink::completed() const {
@@ -321,8 +415,7 @@ WorkerBackend::WorkerBackend(Options options) : opts_(std::move(options)) {}
 void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   if (jobs.empty()) return;
   // One loopback host with max_processes slots: the batched remote
-  // scheduler replaces the old one-subprocess-plus-two-files-per-job loop,
-  // and its retry/scratch-guard error paths apply here for free.
+  // scheduler's retry paths apply here for free.
   remote::HostSpec local;
   local.name = "local";
   local.slots = opts_.max_processes != 0 ? opts_.max_processes
@@ -334,7 +427,6 @@ void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   o.scratch_dir = opts_.scratch_dir;
   o.batch_jobs = opts_.batch_jobs;
   o.max_attempts = opts_.max_attempts;
-  o.keep_files = opts_.keep_files;
   o.on_event = opts_.on_event;
   o.warm_store = opts_.warm_store;
   RemoteBackend(std::move(o)).run(jobs, sink);
@@ -524,90 +616,67 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 namespace worker {
 
-std::string scratch_stem(const std::string& dir, std::uint32_t job_id) {
-  static std::atomic<std::uint64_t> counter{0};
-  return (std::filesystem::path(dir) /
-          ("mflush-" + std::to_string(::getpid()) + "-" +
-           std::to_string(counter.fetch_add(1)) + "-job" +
-           std::to_string(job_id)))
-      .string();
+std::vector<std::uint8_t> encode_jobs(const std::vector<JobSpec>& jobs) {
+  return encode_archive(kJobMagic, jobs.size(), [&](ArchiveWriter& ar) {
+    for (const JobSpec& j : jobs) j.save(ar);
+  });
 }
 
-void write_job_file(const std::string& path,
-                    const std::vector<JobSpec>& jobs) {
-  ArchiveWriter ar;
-  ar.put(kJobMagic);
-  ar.put(kProtocolVersion);
-  ar.put<std::uint64_t>(jobs.size());
-  for (const JobSpec& j : jobs) j.save(ar);
-  write_archive_file(path, std::move(ar));
-}
-
-std::vector<JobSpec> read_job_file(const std::string& path) {
-  const auto bytes = read_checked_file(path, kJobMagic, "mflush job file");
-  ArchiveReader ar(bytes);
-  (void)ar.get<std::uint64_t>();  // magic, verified above
-  if (const auto v = ar.get<std::uint32_t>(); v != kProtocolVersion) {
-    throw std::runtime_error("job file protocol version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kProtocolVersion));
-  }
-  const auto n = ar.get<std::uint64_t>();
-  std::vector<JobSpec> jobs;
-  jobs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) jobs.push_back(JobSpec::load(ar));
-  if (!ar.done())
-    throw std::runtime_error("job file has trailing bytes: " + path);
-  return jobs;
+std::vector<JobSpec> decode_jobs(std::span<const std::uint8_t> bytes,
+                                 const std::string& what) {
+  return decode_archive<JobSpec>(
+      bytes, kJobMagic, "mflush job archive", what,
+      [](ArchiveReader& ar) { return JobSpec::load(ar); });
 }
 
 std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results) {
-  ArchiveWriter ar;
-  ar.put(kResultMagic);
-  ar.put(kProtocolVersion);
-  ar.put<std::uint64_t>(results.size());
-  for (const auto& [id, r] : results) put_result(ar, id, r);
-  ar.put(fnv1a(ar.bytes()));
-  return ar.take();
+  return encode_archive(kResultMagic, results.size(), [&](ArchiveWriter& ar) {
+    for (const auto& [id, r] : results) put_result(ar, id, r);
+  });
 }
 
 std::vector<std::pair<std::uint32_t, RunResult>> decode_results(
     std::span<const std::uint8_t> bytes, const std::string& what) {
-  std::vector<std::uint8_t> body(bytes.begin(), bytes.end());
-  check_archive(body, kResultMagic, "mflush result file", what);
-  ArchiveReader ar(body);
-  (void)ar.get<std::uint64_t>();  // magic, verified above
-  if (const auto v = ar.get<std::uint32_t>(); v != kProtocolVersion) {
-    throw std::runtime_error("result file protocol version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kProtocolVersion));
+  return decode_archive<std::pair<std::uint32_t, RunResult>>(
+      bytes, kResultMagic, "mflush result archive", what, get_result);
+}
+
+std::vector<std::uint8_t> frame(std::span<const std::uint8_t> archive) {
+  const std::uint64_t len = archive.size();
+  std::vector<std::uint8_t> out(sizeof(len));
+  std::memcpy(out.data(), &len, sizeof(len));
+  out.insert(out.end(), archive.begin(), archive.end());
+  return out;
+}
+
+void FrameReader::feed(
+    std::span<const std::uint8_t> chunk,
+    const std::function<void(std::span<const std::uint8_t>)>& on_frame) {
+  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
+  std::size_t pos = 0;
+  std::uint64_t len = 0;
+  while (buf_.size() - pos >= sizeof(len)) {
+    std::memcpy(&len, buf_.data() + pos, sizeof(len));
+    if (len > buf_.size() - pos - sizeof(len)) break;
+    on_frame({buf_.data() + pos + sizeof(len), static_cast<std::size_t>(len)});
+    pos += sizeof(len) + static_cast<std::size_t>(len);
   }
-  const auto n = ar.get<std::uint64_t>();
-  std::vector<std::pair<std::uint32_t, RunResult>> results;
-  results.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) results.push_back(get_result(ar));
-  if (!ar.done())
-    throw std::runtime_error("result file has trailing bytes: " + what);
-  return results;
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-void write_result_file(
-    const std::string& path,
-    const std::vector<std::pair<std::uint32_t, RunResult>>& results) {
-  fsio::write_file_atomic(path, encode_results(results), /*durable=*/false);
-}
-
-std::vector<std::pair<std::uint32_t, RunResult>> read_result_file(
-    const std::string& path) {
-  return decode_results(fsio::read_file_bytes(path, "mflush result file"),
-                        path);
-}
-
-int run_worker(const std::string& job_path, const std::string& result_path,
-               const std::string& store_dir, bool write_parts) {
+int run_worker(std::istream& in, std::ostream& out,
+               const std::string& store_dir) {
   try {
-    std::vector<JobSpec> jobs = read_job_file(job_path);
+    std::vector<JobSpec> jobs;
+    {
+      std::ostringstream archive;
+      archive << in.rdbuf();
+      const std::string bytes = archive.str();
+      jobs = decode_jobs(
+          {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()},
+          "stdin");
+    }
     std::optional<WarmStore> store;
     if (!store_dir.empty()) {
       store.emplace(store_dir);
@@ -625,25 +694,22 @@ int run_worker(const std::string& job_path, const std::string& result_path,
           job.snapshot = store->lookup(job.parent_key);
       }
     }
-    std::vector<std::pair<std::uint32_t, RunResult>> results;
-    results.reserve(jobs.size());
     // Jobs run serially: the worker *process* is the unit of parallelism,
     // and serial execution keeps the worker bit-identical to run_job.
     for (const JobSpec& job : jobs) {
-      results.emplace_back(job.id, run_job(job));
+      RunResult result = run_job(job);
       // A warm job's capture becomes a store entry immediately, so the
       // scheduler can ship later forks of this parent by hash.
       if (store && job.warm_only && job.parent_key != 0)
-        store->put(job.parent_key, results.back().second.payload);
-      // Streaming transports watch for these one-entry part files; the
-      // atomic rename inside write_result_file is what makes existence
-      // imply completeness on the coordinator side.
-      if (write_parts && !job.warm_only) {
-        write_result_file(result_path + ".r" + std::to_string(job.id),
-                          {results.back()});
-      }
+        store->put(job.parent_key, result.payload);
+      // One frame per job, written the moment it finishes: the
+      // coordinator streams it into the sink while later jobs still run.
+      const auto framed =
+          frame(encode_results({{job.id, std::move(result)}}));
+      out.write(reinterpret_cast<const char*>(framed.data()),
+                static_cast<std::streamsize>(framed.size()));
+      if (!out.flush()) throw std::runtime_error("result write failed");
     }
-    write_result_file(result_path, results);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mflushsim --worker: %s\n", e.what());

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -102,12 +103,10 @@ class InProcessBackend final : public ExperimentBackend {
   ParallelRunner* pool_;
 };
 
-/// Jobs shell out to `mflushsim --worker` subprocesses speaking the
-/// job-file-in / result-file-out protocol below. Since the distributed
-/// sweep work this is a thin veneer over RemoteBackend (sim/remote.h) with
-/// a single loopback host: jobs run in *batches* per subprocess (not one
-/// process plus two files per job), failed batches retry with a fresh
-/// scratch stem, and the protocol files are scrubbed on every error path.
+/// Jobs shell out to `mflushsim --worker -` subprocesses speaking the
+/// stdin/stdout protocol below. This is a thin veneer over RemoteBackend
+/// (sim/remote.h) with a single loopback host: jobs run in *batches* per
+/// subprocess, and failed batches retry.
 class WorkerBackend final : public ExperimentBackend {
  public:
   struct Options {
@@ -115,16 +114,16 @@ class WorkerBackend final : public ExperimentBackend {
     std::string worker_binary;
     /// Concurrent worker processes; 0 means ParallelRunner::default_jobs().
     unsigned max_processes = 0;
-    /// Directory for job/result files; empty means the system temp dir.
+    /// Directory for session-scoped warm stores (see
+    /// RemoteBackend::Options::scratch_dir); empty means the system temp
+    /// dir.
     std::string scratch_dir;
-    /// Keep the protocol files after the run (debugging).
-    bool keep_files = false;
     /// Jobs per worker invocation; 0 means the scheduler's auto sizing,
     /// 1 reproduces the old one-subprocess-per-job pattern.
     std::size_t batch_jobs = 0;
     /// Total attempts per batch (>= 1) before the sweep fails. A worker
-    /// that exits nonzero, dies by signal, or writes a corrupt result is
-    /// retried on a fresh scratch stem up to this bound.
+    /// that exits nonzero, dies by signal, or emits a corrupt result is
+    /// retried up to this bound.
     unsigned max_attempts = 3;
     /// Serialized scheduler narration (batch failures and retries) —
     /// without it a transient worker crash is retried away invisibly.
@@ -146,25 +145,10 @@ class WorkerBackend final : public ExperimentBackend {
   Options opts_;
 };
 
-/// Removes its paths on destruction unless told to keep them — the worker
-/// and remote backends wrap every scratch .mfj/.mfr pair in one of these so
-/// protocol files cannot leak when a worker dies, writes a corrupt result,
-/// or a transport throws (the old post-success remove() calls were
-/// unreachable on those paths).
-class ScratchGuard {
- public:
-  explicit ScratchGuard(std::vector<std::string> paths, bool keep = false)
-      : paths_(std::move(paths)), keep_(keep) {}
-  ~ScratchGuard();
-  ScratchGuard(const ScratchGuard&) = delete;
-  ScratchGuard& operator=(const ScratchGuard&) = delete;
-
- private:
-  std::vector<std::string> paths_;
-  bool keep_;
-};
-
 namespace proc {
+
+/// Receives each chunk a child writes to its stdout, in order.
+using OnOutput = std::function<void(std::span<const std::uint8_t>)>;
 
 /// Run `bin args...` to completion (PATH lookup via posix_spawnp) and
 /// return its exit code. Throws on spawn failure or death by signal; a
@@ -174,9 +158,20 @@ namespace proc {
 /// running at the deadline is SIGKILLed, reaped, and reported as a throw
 /// naming the timeout — so a wedged subprocess (a hung ssh, a stuck
 /// worker) surfaces as an ordinary failure instead of blocking forever.
+///
+/// A non-empty `input` is fed to the child's stdin, which then reads EOF
+/// (empty: stdin is inherited). With `on_output`, the child's stdout is
+/// captured and handed over chunk by chunk as it arrives (otherwise it is
+/// inherited). Both travel over socketpairs written with MSG_NOSIGNAL, so a
+/// child that exits without reading its input shows up as its exit status,
+/// never as SIGPIPE killing the caller. One poll() loop drives the input,
+/// the output and the deadline; an exception thrown by `on_output` kills
+/// and reaps the child, then propagates.
 int spawn_and_wait(const std::string& bin,
                    const std::vector<std::string>& args,
-                   const std::string& what = {}, unsigned timeout_s = 0);
+                   const std::string& what = {}, unsigned timeout_s = 0,
+                   std::span<const std::uint8_t> input = {},
+                   const OnOutput& on_output = {});
 
 }  // namespace proc
 
@@ -254,46 +249,57 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 // ------------------------------------------------------ worker protocol
 //
-// Both files are flat ArchiveWriter streams: magic, version, u64 count,
+// A worker reads one job archive on stdin and answers on stdout with one
+// length-prefixed result archive per job, written as each job finishes.
+// Both archives are flat ArchiveWriter streams: magic, version, u64 count,
 // the entries, and a trailing FNV-1a checksum over everything before it.
-// Readers reject bad magic, version skew, checksum mismatch and trailing
+// Decoders reject bad magic, version skew, checksum mismatch and trailing
 // bytes outright — a corrupt job must fail loudly, never half-run.
 namespace worker {
 
 /// v2: JobSpec gained warm_only + parent_key (with a by-reference snapshot
-/// tag) and RunResult gained the warm-job payload.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// tag) and RunResult gained the warm-job payload. v4: jobs arrive on
+/// stdin and results leave as framed one-entry archives on stdout.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
-/// Per-process unique scratch-file stem inside `dir` (pid + monotonic
-/// counter + leading job id), shared by the worker and remote backends so
-/// concurrent attempts can never collide on a file name.
-[[nodiscard]] std::string scratch_stem(const std::string& dir,
-                                       std::uint32_t job_id);
+/// The job archive (magic "MFLUSJOB") a worker reads on stdin.
+[[nodiscard]] std::vector<std::uint8_t> encode_jobs(
+    const std::vector<JobSpec>& jobs);
+[[nodiscard]] std::vector<JobSpec> decode_jobs(
+    std::span<const std::uint8_t> bytes, const std::string& what);
 
-void write_job_file(const std::string& path,
-                    const std::vector<JobSpec>& jobs);
-[[nodiscard]] std::vector<JobSpec> read_job_file(const std::string& path);
-
-void write_result_file(
-    const std::string& path,
-    const std::vector<std::pair<std::uint32_t, RunResult>>& results);
-[[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>>
-read_result_file(const std::string& path);
-
-/// In-memory forms of the result-file archive. encode produces the exact
-/// checksummed byte stream write_result_file writes; decode validates
-/// magic, version, checksum, and trailing bytes the same way
-/// read_result_file does, with `what` woven into errors in place of a
-/// path. The campaign result cache (sim/campaign.h) stores one-entry
-/// result archives, so a cache entry is readable by the same decoder the
-/// worker protocol trusts.
+/// The result archive (magic "MFLUSRES"). A worker emits one one-entry
+/// archive per job; the campaign result cache (sim/campaign.h) stores the
+/// same one-entry archives, so a cache entry is readable by the same
+/// decoder the worker protocol trusts. `what` is woven into errors.
 [[nodiscard]] std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results);
 [[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>>
 decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 
-/// The `mflushsim --worker` entry point: read the job file, run every job,
-/// write the result file. Returns a process exit code (0 on success).
+/// One frame of a worker's stdout: a u64 byte length, then `archive`.
+[[nodiscard]] std::vector<std::uint8_t> frame(
+    std::span<const std::uint8_t> archive);
+
+/// Splits a worker's stdout byte stream back into its result archives.
+class FrameReader {
+ public:
+  /// Append `chunk`; hand every frame it completes to `on_frame`.
+  void feed(std::span<const std::uint8_t> chunk,
+            const std::function<void(std::span<const std::uint8_t>)>&
+                on_frame);
+  /// Bytes of an unfinished frame: nonzero at end of stream means the
+  /// stream was cut mid-frame.
+  [[nodiscard]] std::size_t pending() const noexcept { return buf_.size(); }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+};
+
+/// The `mflushsim --worker -` entry point: read the job archive from `in`
+/// (stdin) to EOF, run every job, and write each job's framed one-entry
+/// result archive to `out` (stdout) as soon as it finishes (warm and
+/// measured jobs alike). Returns a process exit code (0 on success).
 ///
 /// A non-empty `store_dir` opens the host-side WarmStore
 /// (`--worker-store`): embedded parent snapshots are installed into it
@@ -301,15 +307,8 @@ decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 /// host), by-reference forks resolve their bytes from it, and warm-job
 /// payloads are stored after capture. Without a store, by-ref forks fall
 /// back to run_job's deterministic in-process re-warm.
-/// With `write_parts` (`--worker-parts`), every measured job's result is
-/// additionally written — atomically, as a one-entry result archive — to
-/// `result_path + ".r<job_id>"` the moment the job finishes, so a
-/// coordinator sharing the filesystem (LocalTransport) can stream results
-/// before the batch completes. The part entry is the same RunResult the
-/// final file carries, encoded by the same writer: byte-identical. The
-/// final result file remains authoritative; parts are never the only copy.
-int run_worker(const std::string& job_path, const std::string& result_path,
-               const std::string& store_dir = {}, bool write_parts = false);
+int run_worker(std::istream& in, std::ostream& out,
+               const std::string& store_dir = {});
 
 }  // namespace worker
 }  // namespace mflush

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <unordered_set>
@@ -44,12 +45,20 @@ constexpr std::size_t kMaxRecordBytes = 1u << 20;
 }
 
 /// Remove write-temp debris a crashed writer left in the cache (the rename
-/// never happened, so the entries are garbage by construction).
+/// never happened, so the entries are garbage by construction). The cache
+/// may be shared — mflushd's tenants write into one — so a temp whose
+/// writer (the pid in fsio's `NAME.tmp.<pid>.<n>`) is still alive is an
+/// in-flight write and stays: deleting it would fail that writer's rename.
 void sweep_temp_debris(const std::string& cache_dir) {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(cache_dir, ec)) {
-    if (entry.path().filename().string().find(".tmp.") != std::string::npos)
-      fs::remove(entry.path(), ec);
+    const std::string name = entry.path().filename().string();
+    const std::size_t tmp = name.find(".tmp.");
+    if (tmp == std::string::npos) continue;
+    const pid_t writer = static_cast<pid_t>(
+        std::strtol(name.c_str() + tmp + 5, nullptr, 10));
+    if (writer > 0 && (::kill(writer, 0) == 0 || errno == EPERM)) continue;
+    fs::remove(entry.path(), ec);
   }
 }
 

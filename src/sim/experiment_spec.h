@@ -22,7 +22,7 @@
 /// to be written by hand), expandable into a flat vector of self-contained
 /// JobSpec units, and executable by any ExperimentBackend (sim/backend.h):
 /// in-process on the thread pool, or fanned out to `mflushsim --worker`
-/// subprocesses. A job file plus the binary is everything a remote host
+/// subprocesses. A job archive plus the binary is everything a remote host
 /// needs, which is what makes the spec the unit of distribution.
 namespace mflush {
 

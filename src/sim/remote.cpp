@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +16,7 @@
 #include <unordered_set>
 
 #include "common/env.h"
+#include "common/fsio.h"
 #include "sim/campaign.h"
 #include "sim/parallel.h"
 #include "sim/warmstore.h"
@@ -66,29 +65,51 @@ std::string shq(const std::string& s) {
 
 std::string remote_worker_bin(const HostSpec& host) {
   // Suffixed with the pool index: duplicate entries naming the same ssh
-  // host each ship their own copy, so concurrent prepare() scps can never
-  // overwrite a binary another entry is executing.
+  // host each ship their own copy, so concurrent prepare() uploads can
+  // never overwrite a binary another entry is executing.
   return host.remote_dir + "/mflushsim." + std::to_string(host.index);
 }
 
 /// ssh flags: never prompt (a password prompt would hang a sweep), fail
 /// fast on unreachable hosts so their batches re-queue promptly.
-const std::vector<std::string> kSshOpts = {
-    "-o", "BatchMode=yes", "-o", "ConnectTimeout=10"};
+std::vector<std::string> ssh_args(const HostSpec& host, std::string command) {
+  return {"-o", "BatchMode=yes", "-o", "ConnectTimeout=10", host.name,
+          std::move(command)};
+}
 
-void run_tool_or_throw(const std::string& tool,
-                       std::vector<std::string> args, const HostSpec& host,
-                       const std::string& what, unsigned timeout_s) {
+/// Run `tool args...` with `input` on its stdin and, when `on_result` is
+/// set, its stdout split into result frames. Every failure — spawn,
+/// signal, deadline, nonzero exit, a stream cut mid-frame, a throw from
+/// `on_result` — becomes a TransportError naming the host.
+void run_tool(const std::string& tool, const std::vector<std::string>& args,
+              std::span<const std::uint8_t> input,
+              const Transport::OnResult& on_result, const HostSpec& host,
+              const std::string& what, unsigned timeout_s) {
+  worker::FrameReader frames;
+  proc::OnOutput on_output;
+  if (on_result) {
+    on_output = [&](std::span<const std::uint8_t> chunk) {
+      frames.feed(chunk, on_result);
+    };
+  }
   int code = 0;
   try {
-    code = proc::spawn_and_wait(tool, args, what, timeout_s);
+    code = proc::spawn_and_wait(tool, args, what, timeout_s, input,
+                                on_output);
   } catch (const std::exception& e) {
     throw TransportError(host.label() + ": " + e.what());
   }
   if (code != 0) {
     throw TransportError(host.label() + ": " + tool + " exited with code " +
-                         std::to_string(code) + " while " + what +
-                         (code == 255 ? " (ssh connection failure)" : ""));
+                         std::to_string(code) + " on " + what +
+                         (code == 255 && tool == "ssh"
+                              ? " (ssh connection failure)"
+                              : ""));
+  }
+  if (frames.pending() != 0) {
+    throw TransportError(host.label() + ": result stream truncated (" +
+                         std::to_string(frames.pending()) +
+                         " bytes of an unfinished frame) on " + what);
   }
 }
 
@@ -201,22 +222,17 @@ std::vector<std::pair<std::size_t, std::size_t>> batch_ranges(
 void LocalTransport::prepare(const HostSpec&) {}
 
 void LocalTransport::run_batch(const HostSpec& host,
-                               const std::string& job_path,
-                               const std::string& result_path,
+                               std::span<const std::uint8_t> job_bytes,
+                               const OnResult& on_result,
                                const std::string& what) {
   if (dispatched_.fetch_add(1) < host.fail_batches) {
     throw TransportError(host.label() + ": injected transport failure on " +
                          what);
   }
-  std::vector<std::string> args = {"--worker", job_path, "--worker-out",
-                                   result_path, "--worker-parts"};
+  std::vector<std::string> args = {"--worker", "-"};
   if (!host.warm_store_dir.empty())
     args.insert(args.end(), {"--worker-store", host.warm_store_dir});
-  const int code = proc::spawn_and_wait(bin_, args, what);
-  if (code != 0) {
-    throw TransportError("worker exited with code " + std::to_string(code) +
-                         " on " + what + " (" + job_path + ")");
-  }
+  run_tool(bin_, args, job_bytes, on_result, host, what, 0);
 }
 
 SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s)
@@ -228,62 +244,28 @@ SshTransport::SshTransport(std::string worker_binary, unsigned timeout_s)
                            std::numeric_limits<unsigned>::max()))) {}
 
 void SshTransport::prepare(const HostSpec& host) {
-  std::vector<std::string> mkdir = kSshOpts;
-  mkdir.insert(mkdir.end(),
-               {host.name, "mkdir -p " + shq(host.remote_dir)});
-  run_tool_or_throw("ssh", mkdir, host, "preparing the scratch dir",
-                    timeout_s_);
-
-  std::vector<std::string> ship = {"-q"};
-  ship.insert(ship.end(), kSshOpts.begin(), kSshOpts.end());
-  ship.insert(ship.end(), {bin_, host.name + ":" + remote_worker_bin(host)});
-  run_tool_or_throw("scp", ship, host, "shipping the worker binary",
-                    timeout_s_);
-
-  std::vector<std::string> chmod = kSshOpts;
-  chmod.insert(chmod.end(),
-               {host.name, "chmod +x " + shq(remote_worker_bin(host))});
-  run_tool_or_throw("ssh", chmod, host, "marking the worker executable",
-                    timeout_s_);
+  // Write-temp-then-rename: a half-uploaded binary is never executable
+  // under the final name.
+  const std::string bin = shq(remote_worker_bin(host));
+  const std::string tmp = shq(remote_worker_bin(host) + ".tmp");
+  const std::vector<std::uint8_t> bytes =
+      fsio::read_file_bytes(bin_, "worker binary");
+  run_tool("ssh",
+           ssh_args(host, "mkdir -p " + shq(host.remote_dir) + " && cat > " +
+                              tmp + " && chmod +x " + tmp + " && mv " + tmp +
+                              " " + bin),
+           bytes, {}, host, "shipping the worker binary", timeout_s_);
 }
 
 void SshTransport::run_batch(const HostSpec& host,
-                             const std::string& job_path,
-                             const std::string& result_path,
+                             std::span<const std::uint8_t> job_bytes,
+                             const OnResult& on_result,
                              const std::string& what) {
-  namespace fs = std::filesystem;
-  const std::string rjob =
-      host.remote_dir + "/" + fs::path(job_path).filename().string();
-  const std::string rres =
-      host.remote_dir + "/" + fs::path(result_path).filename().string();
-
-  std::vector<std::string> push = {"-q"};
-  push.insert(push.end(), kSshOpts.begin(), kSshOpts.end());
-  push.insert(push.end(), {job_path, host.name + ":" + rjob});
-  run_tool_or_throw("scp", push, host, "pushing " + what, timeout_s_);
-
-  std::string cmd = shq(remote_worker_bin(host)) + " --worker " + shq(rjob) +
-                    " --worker-out " + shq(rres);
+  std::string cmd = shq(remote_worker_bin(host)) + " --worker -";
   if (!host.warm_store_dir.empty())
     cmd += " --worker-store " + shq(host.warm_store_dir);
-  std::vector<std::string> exec = kSshOpts;
-  exec.insert(exec.end(), {host.name, std::move(cmd)});
-  run_tool_or_throw("ssh", exec, host, "running " + what, timeout_s_);
-
-  std::vector<std::string> pull = {"-q"};
-  pull.insert(pull.end(), kSshOpts.begin(), kSshOpts.end());
-  pull.insert(pull.end(), {host.name + ":" + rres, result_path});
-  run_tool_or_throw("scp", pull, host, "pulling results of " + what,
-                    timeout_s_);
-
-  // Best-effort remote cleanup; a failure here is not a batch failure.
-  std::vector<std::string> clean = kSshOpts;
-  clean.insert(clean.end(),
-               {host.name, "rm -f " + shq(rjob) + " " + shq(rres)});
-  try {
-    (void)proc::spawn_and_wait("ssh", clean, what, timeout_s_);
-  } catch (const std::exception&) {
-  }
+  run_tool("ssh", ssh_args(host, std::move(cmd)), job_bytes, on_result, host,
+           what, timeout_s_);
 }
 
 }  // namespace remote
@@ -376,29 +358,38 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
-/// Job ids already streamed into the sink this run. Incremental partial
-/// streaming means a failed batch may have delivered some of its results
-/// before dying — and its retry (or split halves) will produce them
-/// again. Results are deterministic, but ResultSink::push throws on a
-/// duplicate slot, so every push is gated by claim(): exactly one copy of
-/// each job's result enters the sink no matter how many attempts touched
-/// it.
+/// Job ids already streamed into the sink this run. A failed attempt may
+/// have streamed some of its results before dying — and its retry (or
+/// split halves) will produce them again. Results are deterministic, but
+/// ResultSink::push throws on a duplicate slot, so every push goes through
+/// deliver(): exactly one copy of each job's result enters the sink no
+/// matter how many attempts touched it.
 struct Delivered {
   std::mutex m;
   std::unordered_set<std::uint32_t> ids;
 
-  [[nodiscard]] bool claim(std::uint32_t id) {
-    const std::lock_guard lk(m);
-    return ids.insert(id).second;
+  void deliver(ResultSink& sink, const JobSpec& job, RunResult result) {
+    {
+      const std::lock_guard lk(m);
+      if (!ids.insert(job.id).second) return;
+    }
+    try {
+      sink.push(job, std::move(result));
+    } catch (...) {
+      // The slot stayed empty (ResultSink fills it only after its
+      // callback succeeds): release the claim so a retry can fill it.
+      const std::lock_guard lk(m);
+      ids.erase(job.id);
+      throw;
+    }
   }
 };
 
-/// One attempt of one batch: stage the job file, move it through the
-/// transport, validate and stream the results. Throws on any failure with
-/// the batch untouched; the scratch pair never outlives the attempt.
+/// One attempt of one batch: encode the job archive, move it through the
+/// transport, and validate and stream each result as it arrives. Throws on
+/// any failure; results streamed before the failure stay delivered.
 void run_batch_once(HostState& host, const Batch& batch,
                     const std::vector<JobSpec>& all_jobs,
-                    const std::filesystem::path& scratch, bool keep_files,
                     WarmStore* coordinator_store,
                     std::vector<UploadRecord>& uploads, Delivered& delivered,
                     ResultSink& sink) {
@@ -407,29 +398,9 @@ void run_batch_once(HostState& host, const Batch& batch,
       all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.begin);
   const auto last =
       all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.end);
-  const std::string stem =
-      worker::scratch_stem(scratch.string(), first->id) + "-a" +
-      std::to_string(batch.attempts);
-  const std::string job_path = stem + ".mfj";
-  const std::string result_path = stem + ".mfr";
+  const std::string what = batch.describe(all_jobs);
 
-  // Per-job partial results (transports that stream them): the worker
-  // writes `result_path.r<id>` atomically as each measured job finishes.
-  // The attempt-unique stem keeps one attempt's parts from ever being
-  // read as another's.
-  const bool streaming = host.transport->streams_partials();
-  std::vector<std::pair<const JobSpec*, std::string>> parts;
-  std::vector<std::string> guard_paths = {job_path, result_path};
-  if (streaming) {
-    for (auto it = first; it != last; ++it) {
-      if (it->warm_only) continue;
-      parts.emplace_back(&*it, result_path + ".r" + std::to_string(it->id));
-      guard_paths.push_back(parts.back().second);
-    }
-  }
-  const ScratchGuard guard(std::move(guard_paths), keep_files);
-
-  // The only copy of the slice, alive just while staging the job file
+  // The only copy of the slice, alive just while encoding the job archive
   // (the snapshot payloads inside are shared_ptr-shared, not duplicated).
   // With a host-side warm store this copy is also where fork snapshots are
   // stripped: a parent already present on the host (or embedded once
@@ -454,92 +425,32 @@ void run_batch_once(HostState& host, const Batch& batch,
       }
     }
   }
-  worker::write_job_file(job_path, slice);
 
-  // While the worker runs, stream any per-job part that appears. Each
-  // part is one atomically-renamed one-entry MFLUSRES file, so existence
-  // implies completeness; a part that fails to decode is ignored (the
-  // authoritative batch file catches up below, or the attempt fails).
-  // Every push is claim()-gated — the final loop below claims whatever
-  // the watcher did not.
-  std::atomic<bool> worker_done{false};
-  std::thread watcher;
-  if (!parts.empty()) {
-    watcher = std::thread([&] {
-      std::vector<bool> seen(parts.size(), false);
-      std::size_t remaining = parts.size();
-      while (remaining > 0) {
-        for (std::size_t i = 0; i < parts.size(); ++i) {
-          if (seen[i]) continue;
-          std::error_code ec;
-          if (!std::filesystem::exists(parts[i].second, ec)) continue;
-          seen[i] = true;
-          --remaining;
-          const JobSpec& job = *parts[i].first;
-          try {
-            auto part = worker::read_result_file(parts[i].second);
-            if (part.size() != 1 || part.front().first != job.id)
-              throw std::runtime_error("part/job mismatch");
-            if (delivered.claim(job.id))
-              sink.push(job, std::move(part.front().second));
-          } catch (const std::exception&) {
-            // Not an attempt failure: the batch file stays authoritative.
-          }
+  // Each result is checked on arrival — one entry, for a job of this batch
+  // not yet answered in this attempt — and streamed into the sink at once.
+  std::unordered_map<std::uint32_t, const JobSpec*> unanswered;
+  for (auto it = first; it != last; ++it) unanswered.emplace(it->id, &*it);
+  host.transport->run_batch(
+      host.spec, worker::encode_jobs(slice),
+      [&](std::span<const std::uint8_t> archive) {
+        auto entries = worker::decode_results(archive, "result of " + what);
+        const auto it = entries.size() == 1
+                            ? unanswered.find(entries.front().first)
+                            : unanswered.end();
+        if (it == unanswered.end()) {
+          throw std::runtime_error(
+              "worker result for an unexpected or duplicate job in " + what);
         }
-        if (worker_done.load()) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    });
-  }
-  struct WatcherJoin {
-    std::atomic<bool>& done;
-    std::thread& t;
-    ~WatcherJoin() {
-      done.store(true);
-      if (t.joinable()) t.join();
-    }
-  } watcher_join{worker_done, watcher};
-
-  host.transport->run_batch(host.spec, job_path, result_path,
-                            batch.describe(all_jobs));
-
-  // Quiesce the watcher before touching the final file: from here on this
-  // thread owns all pushes for the batch.
-  worker_done.store(true);
-  if (watcher.joinable()) watcher.join();
-
-  auto results = worker::read_result_file(result_path);
-  const std::size_t expected = batch.end - batch.begin;
-  if (results.size() != expected) {
-    throw std::runtime_error("worker answered " +
-                             std::to_string(results.size()) + " of " +
-                             std::to_string(expected) + " jobs in " +
-                             batch.describe(all_jobs));
-  }
-  // Validate the whole answer set before pushing from it: a malformed
-  // result file must fail the attempt cleanly, never half-poison the sink
-  // ahead of the retry. (Parts the watcher already streamed were each
-  // validated individually — an id-matching one-entry archive — and
-  // results are deterministic, so a part surviving a failed attempt is
-  // still the correct result for its job.)
-  std::unordered_map<std::uint32_t, const JobSpec*> by_id;
-  for (auto it = first; it != last; ++it) by_id.emplace(it->id, &*it);
-  std::vector<const JobSpec*> answered;
-  answered.reserve(results.size());
-  for (const auto& [id, result] : results) {
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      throw std::runtime_error("worker result for unexpected or duplicate "
-                               "job " +
-                               std::to_string(id) + " in " +
-                               batch.describe(all_jobs));
-    }
-    answered.push_back(it->second);
-    by_id.erase(it);
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (delivered.claim(answered[i]->id))
-      sink.push(*answered[i], std::move(results[i].second));
+        const JobSpec& job = *it->second;
+        unanswered.erase(it);
+        delivered.deliver(sink, job, std::move(entries.front().second));
+      },
+      what);
+  if (!unanswered.empty()) {
+    throw std::runtime_error(
+        "worker answered " +
+        std::to_string(slice.size() - unanswered.size()) + " of " +
+        std::to_string(slice.size()) + " jobs in " + what);
   }
 
   // Success: every parent this batch referenced is now durably in the
@@ -556,7 +467,6 @@ void run_batch_once(HostState& host, const Batch& batch,
 
 void host_slot_loop(Scheduler& sched, HostState& host,
                     const std::vector<JobSpec>& all_jobs,
-                    const std::filesystem::path& scratch, bool keep_files,
                     unsigned max_attempts, unsigned host_max_failures,
                     WarmStore* coordinator_store, Delivered& delivered,
                     ResultSink& sink) {
@@ -577,8 +487,8 @@ void host_slot_loop(Scheduler& sched, HostState& host,
     std::exception_ptr error;
     std::string error_text;
     try {
-      run_batch_once(host, batch, all_jobs, scratch, keep_files,
-                     coordinator_store, uploads, delivered, sink);
+      run_batch_once(host, batch, all_jobs, coordinator_store, uploads,
+                     delivered, sink);
     } catch (const std::exception& e) {
       error = std::current_exception();
       error_text = e.what();
@@ -689,13 +599,11 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
   std::vector<std::filesystem::path> session_stores;
   struct StoreSweep {
     std::vector<std::filesystem::path>& dirs;
-    bool keep;
     ~StoreSweep() {
-      if (keep) return;
       std::error_code ec;
       for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
     }
-  } sweep{session_stores, opts_.keep_files};
+  } sweep{session_stores};
   const bool has_parents =
       std::any_of(jobs.begin(), jobs.end(),
                   [](const JobSpec& j) { return j.parent_key != 0; });
@@ -761,9 +669,9 @@ void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
         std::min<std::size_t>(host->spec.slots, ranges.size()));
     for (unsigned s = 0; s < n; ++s) {
       slots.emplace_back([&, host] {
-        host_slot_loop(sched, *host, jobs, scratch, opts_.keep_files,
-                       opts_.max_attempts, opts_.host_max_failures,
-                       opts_.warm_store, delivered, sink);
+        host_slot_loop(sched, *host, jobs, opts_.max_attempts,
+                       opts_.host_max_failures, opts_.warm_store, delivered,
+                       sink);
       });
     }
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -16,15 +17,16 @@
 /// Fault-tolerant distributed sweep backend.
 ///
 /// RemoteBackend schedules *batches* of JobSpecs over a pool of hosts
-/// through a pluggable Transport. A batch travels as one job file
-/// (MFLUSJOB), runs as one `mflushsim --worker` invocation on its host, and
-/// comes back as one result file (MFLUSRES) — amortizing process-spawn and
-/// serialization overhead that dominates one-subprocess-per-job fan-out.
+/// through a pluggable Transport. A batch travels as one job archive
+/// (MFLUSJOB) on the stdin of one `mflushsim --worker -` invocation on its
+/// host, and comes back as one framed result archive (MFLUSRES) per job on
+/// its stdout — amortizing the process-spawn overhead that dominates
+/// one-subprocess-per-job fan-out.
 /// The scheduler work-steals: every host slot pulls the next batch from a
 /// shared queue, a failed or unreachable host's batch is re-queued onto
 /// healthy hosts (bounded attempts per batch), and a host that keeps
 /// failing is retired while at least one other host survives. Results
-/// stream into the ResultSink as each batch lands; the backend contract —
+/// stream into the ResultSink as each job lands; the backend contract —
 /// full-SimMetrics bit-identity with SerialBackend — holds because every
 /// job still executes through run_job and doubles cross the wire as raw
 /// bytes.
@@ -97,39 +99,35 @@ class TransportError : public std::runtime_error {
 /// Moves one batch through one host. Implementations must be safe to call
 /// concurrently from that host's slots; `what` describes the batch for
 /// error messages ("batch 2 (jobs 4-7)"). Any failure — spawn, network,
-/// nonzero exit, death by signal — throws TransportError so the scheduler
-/// can re-queue the batch.
+/// nonzero exit, death by signal, a stream cut mid-frame — throws
+/// TransportError so the scheduler can re-queue the batch.
 class Transport {
  public:
+  /// Receives one result archive (a one-entry MFLUSRES archive, not yet
+  /// validated) the moment the worker emits it, while later jobs of the
+  /// batch may still be running. May throw; the batch then fails.
+  using OnResult = std::function<void(std::span<const std::uint8_t>)>;
+
   virtual ~Transport() = default;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// One-time per-host setup (ship the worker binary, make the scratch
-  /// dir). Called before the host's first batch; a throw counts as a host
-  /// failure and is retried on the host's next batch.
+  /// One-time per-host setup (ship the worker binary). Called before the
+  /// host's first batch; a throw counts as a host failure and is retried
+  /// on the host's next batch.
   virtual void prepare(const HostSpec& host) = 0;
 
-  /// Run the job file at `job_path` so that the result file appears at
-  /// `result_path` (both local paths).
-  virtual void run_batch(const HostSpec& host, const std::string& job_path,
-                         const std::string& result_path,
+  /// Run the job archive `job_bytes` on the host, handing each result
+  /// archive to `on_result` as it arrives.
+  virtual void run_batch(const HostSpec& host,
+                         std::span<const std::uint8_t> job_bytes,
+                         const OnResult& on_result,
                          const std::string& what) = 0;
-
-  /// Whether run_batch makes per-job partial results visible at
-  /// `result_path + ".r<job_id>"` *while the batch runs* (one-entry
-  /// MFLUSRES archives, written atomically as each measured job lands).
-  /// The scheduler then streams each job into the ResultSink the moment
-  /// its part validates instead of waiting for the whole batch file —
-  /// which stays authoritative: parts are an optimization, never the only
-  /// copy. Transports whose results only exist locally after the batch
-  /// completes (ssh: the file is pulled at the end) report false.
-  [[nodiscard]] virtual bool streams_partials() const { return false; }
 };
 
-/// Loopback transport: the batch runs as a `mflushsim --worker` subprocess
-/// on this machine (used by tests and CI, and the default for `local`
-/// hosts). Honours HostSpec::fail_batches by failing the host's first N
-/// batches before spawning anything — the CI fault-injection hook.
+/// Loopback transport: the batch runs as a `mflushsim --worker -`
+/// subprocess on this machine (used by tests and CI, and the default for
+/// `local` hosts). Honours HostSpec::fail_batches by failing the host's
+/// first N batches before spawning anything — the CI fault-injection hook.
 class LocalTransport final : public Transport {
  public:
   explicit LocalTransport(std::string worker_binary)
@@ -137,29 +135,25 @@ class LocalTransport final : public Transport {
 
   [[nodiscard]] std::string name() const override { return "local"; }
   void prepare(const HostSpec& host) override;
-  void run_batch(const HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string& what) override;
-
-  /// The worker writes straight into the coordinator's scratch dir, so
-  /// its per-job part files are observable live (--worker-parts).
-  [[nodiscard]] bool streams_partials() const override { return true; }
+  void run_batch(const HostSpec& host, std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override;
 
  private:
   std::string bin_;
   std::atomic<unsigned> dispatched_{0};
 };
 
-/// ssh/scp transport: prepare() ships the worker binary once per host
-/// (mkdir -p; scp; chmod +x), run_batch() copies the job file over, runs
-/// the worker remotely, copies the result file back, and best-effort
-/// removes the remote pair. BatchMode ssh: an unreachable or
+/// ssh transport, one BatchMode ssh call per step: prepare() pipes the
+/// worker binary into `mkdir -p DIR && cat > BIN.tmp && chmod +x ... && mv`
+/// once per host; run_batch() runs `BIN --worker -` remotely with the job
+/// archive on ssh's stdin and reads the framed results off ssh's stdout,
+/// exactly as LocalTransport reads a local worker's. An unreachable or
 /// password-prompting host fails fast and its batches re-queue elsewhere.
 ///
-/// Every ssh/scp invocation runs under a wall-clock deadline on top of
+/// Every ssh invocation runs under a wall-clock deadline on top of
 /// ConnectTimeout: ConnectTimeout only covers the TCP handshake, so a link
 /// that wedges *mid-transfer* (half-open connection, remote kernel hang)
-/// would otherwise stall a host slot forever. At the deadline the tool is
+/// would otherwise stall a host slot forever. At the deadline ssh is
 /// killed and the failure re-queues the batch like any other host fault.
 /// `timeout_s` == 0 resolves MFLUSH_SSH_TIMEOUT (default 600; malformed
 /// values are a hard error, env.h policy).
@@ -169,9 +163,8 @@ class SshTransport final : public Transport {
 
   [[nodiscard]] std::string name() const override { return "ssh"; }
   void prepare(const HostSpec& host) override;
-  void run_batch(const HostSpec& host, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string& what) override;
+  void run_batch(const HostSpec& host, std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override;
 
  private:
   std::string bin_;
@@ -189,7 +182,9 @@ class RemoteBackend final : public ExperimentBackend {
     std::vector<remote::HostSpec> hosts;
     /// Worker binary shipped/spawned; empty means default_worker_binary().
     std::string worker_binary;
-    /// Local staging dir for job/result files; empty = system temp dir.
+    /// Where session-scoped warm stores live (local hosts in a sweep with
+    /// warmed parents and no coordinator warm_store); empty = system temp
+    /// dir. They are removed when run() returns.
     std::string scratch_dir;
     /// Jobs per batch; 0 = auto (see remote::batch_ranges).
     std::size_t batch_jobs = 0;
@@ -199,13 +194,11 @@ class RemoteBackend final : public ExperimentBackend {
     /// Failures before a host is retired. The last surviving host is
     /// never retired — its batches just run out their attempts.
     unsigned host_max_failures = 2;
-    /// Per-ssh/scp-command wall-clock deadline in seconds for
+    /// Per-ssh-command wall-clock deadline in seconds for
     /// SshTransport; 0 resolves MFLUSH_SSH_TIMEOUT (default 600). See the
     /// SshTransport comment — this is what turns a wedged link into an
     /// ordinary host failure.
     unsigned ssh_timeout = 0;
-    /// Keep the local protocol files after the run (debugging).
-    bool keep_files = false;
     /// Transport per host; null means LocalTransport for `local` hosts
     /// and SshTransport otherwise. Tests inject failing transports here.
     std::function<std::unique_ptr<remote::Transport>(
@@ -217,7 +210,7 @@ class RemoteBackend final : public ExperimentBackend {
     std::function<void(const std::string&)> on_event;
     /// Coordinator-side warm store. Local hosts share it directly (their
     /// workers read the same directory, so no bytes ever ride the job
-    /// file); without it, each local host gets a session-scoped scratch
+    /// archive); without it, each local host gets a session-scoped scratch
     /// store and ssh hosts one under their remote_dir — either way a
     /// parent's snapshot is uploaded at most once per host, and later
     /// batches ship the 8-byte hash instead.

@@ -68,14 +68,11 @@
 ///     --cancel ID             ask the daemon to cancel a running campaign
 ///     --list                  print every campaign the daemon knows
 ///     --shutdown              drain running campaigns, then stop the daemon
-///     --worker JOBFILE        worker mode: run a job file, write the
-///                             result file, exit (the worker/remote
-///                             backend subprocess entry point)
-///     --worker-out FILE       result path for --worker
-///                             (default JOBFILE.result)
-///     --worker-parts          with --worker: also write each measured
-///                             job's result to FILE.r<id> as it lands
-///                             (streaming transports watch these)
+///     --worker -              worker mode: read a job archive on stdin,
+///                             write each job's framed result archive to
+///                             stdout as it finishes, exit (the
+///                             worker/remote backend subprocess entry
+///                             point)
 ///     --worker-store DIR      host-side warm store for --worker: embedded
 ///                             parent snapshots are installed here and
 ///                             by-hash forks resolve from here (set by
@@ -134,9 +131,7 @@ void usage(const char* argv0) {
          "       [--serve ADDR --data DIR [--hosts FILE] [--jobs N]]\n"
          "       [--connect ADDR (--submit SPEC [--follow] | --status ID |\n"
          "                        --cancel ID | --list | --shutdown)]\n"
-         "       [--worker JOBFILE [--worker-out FILE] [--worker-store "
-         "DIR]\n"
-         "        [--worker-parts]]\n"
+         "       [--worker - [--worker-store DIR]]\n"
          "       [--worker-bin PATH]\n"
          "       [--list-workloads] [--list-policies]\n"
          "       [--save-snapshot PATH] [--load-snapshot PATH]\n"
@@ -229,8 +224,7 @@ int main(int argc, char** argv) {
   std::string spec_file;
   std::string emit_spec;
   std::string backend_arg = "inprocess";
-  std::string worker_job;
-  std::string worker_out;
+  bool worker_mode = false;
   std::string worker_store;
   std::string worker_bin;
   std::string hosts_file;
@@ -245,7 +239,6 @@ int main(int argc, char** argv) {
   bool follow = false;
   bool list_campaigns = false;
   bool shutdown_daemon = false;
-  bool worker_parts = false;
   bool resume = false;
   std::string save_snapshot;
   std::string load_snapshot;
@@ -295,15 +288,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--backend") {
       backend_arg = value();
     } else if (arg == "--worker") {
-      worker_job = value();
-    } else if (arg == "--worker-out") {
-      worker_out = value();
+      // Jobs arrive on stdin; `-` keeps the command line self-describing.
+      if (std::strcmp(value(), "-") != 0) {
+        usage(argv[0]);
+        return 2;
+      }
+      worker_mode = true;
     } else if (arg == "--worker-store") {
       worker_store = value();
     } else if (arg == "--worker-bin") {
       worker_bin = value();
-    } else if (arg == "--worker-parts") {
-      worker_parts = true;
     } else if (arg == "--serve") {
       serve_addr = value();
     } else if (arg == "--data") {
@@ -354,12 +348,10 @@ int main(int argc, char** argv) {
   }
 
   // Worker mode: the WorkerBackend subprocess entry point. Everything the
-  // run needs is inside the job file.
-  if (!worker_job.empty()) {
-    return worker::run_worker(
-        worker_job, worker_out.empty() ? worker_job + ".result" : worker_out,
-        worker_store, worker_parts);
-  }
+  // run needs is inside the job archive on stdin; stdout carries only the
+  // framed results.
+  if (worker_mode)
+    return worker::run_worker(std::cin, std::cout, worker_store);
 
   // ------------------------------------------------------- mflushd server
   if (!serve_addr.empty()) {

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,6 +67,31 @@ TEST(ResultSink, RejectsGapsAndDuplicates) {
   EXPECT_THROW(sink.push(j, RunResult{}), std::runtime_error);  // duplicate
 }
 
+TEST(ResultSink, ThrowingCallbackLeavesTheSlotForARetry) {
+  // A callback that fails (say, a disk error making the result durable)
+  // must surface its own error, and the retry must land — not be refused
+  // as a "duplicate result" for a slot the failed push never really
+  // filled.
+  int calls = 0;
+  ResultSink sink([&](const JobSpec&, const RunResult&) {
+    if (++calls == 1) throw std::runtime_error("disk full");
+  });
+  JobSpec j;
+  j.id = 0;
+  RunResult r;
+  r.workload = "X";
+  try {
+    sink.push(j, r);
+    FAIL() << "expected the callback's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "disk full");
+  }
+  EXPECT_EQ(sink.completed(), 0u);
+  sink.push(j, r);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(sink.at(0).workload, "X");
+}
+
 // --------------------------------------------------------- worker protocol
 
 TEST(WorkerProtocol, JobFileRoundTrip) {
@@ -96,10 +122,8 @@ TEST(WorkerProtocol, JobFileRoundTrip) {
   fork.snapshot = std::make_shared<const std::vector<std::uint8_t>>(
       snapshot::capture(donor));
 
-  const std::string path = ::testing::TempDir() + "jobs.mfj";
-  worker::write_job_file(path, {catalog, custom, fork});
-  const std::vector<JobSpec> loaded = worker::read_job_file(path);
-  std::remove(path.c_str());
+  const std::vector<JobSpec> loaded = worker::decode_jobs(
+      worker::encode_jobs({catalog, custom, fork}), "test");
 
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[0].workload.name, "2W1");
@@ -124,16 +148,15 @@ TEST(WorkerProtocol, ResultFileRoundTripIsBitExact) {
   const RunResult r =
       run_point(*workloads::by_name("2W1"), PolicySpec::mflush(), 1, 500,
                 1'500);
-  const std::string path = ::testing::TempDir() + "results.mfr";
-  worker::write_result_file(path, {{4u, r}});
-  const auto loaded = worker::read_result_file(path);
-  std::remove(path.c_str());
+  const auto loaded =
+      worker::decode_results(worker::encode_results({{4u, r}}), "test");
 
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].first, 4u);
   EXPECT_EQ(loaded[0].second.workload, r.workload);
   EXPECT_EQ(loaded[0].second.policy, r.policy);
-  // Full SimMetrics equality: doubles cross the file boundary bit-exact.
+  // Full SimMetrics equality: doubles cross the process boundary
+  // bit-exact.
   EXPECT_TRUE(loaded[0].second.metrics == r.metrics);
   EXPECT_EQ(loaded[0].second.wall_seconds, r.wall_seconds);
   EXPECT_EQ(loaded[0].second.simulated_cycles, r.simulated_cycles);
@@ -144,30 +167,57 @@ TEST(WorkerProtocol, RejectsCorruptAndMismatchedFiles) {
   job.workload = *workloads::by_name("2W1");
   job.policy = PolicySpec::icount();
   job.measure = 100;
-  const std::string path = ::testing::TempDir() + "corrupt.mfj";
-  worker::write_job_file(path, {job});
+  std::vector<std::uint8_t> bytes = worker::encode_jobs({job});
 
   // Flip one byte in the middle: the checksum must catch it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(30);
-    char c = 0;
-    f.seekg(30);
-    f.get(c);
-    f.seekp(30);
-    f.put(static_cast<char>(c ^ 0x20));
-  }
-  EXPECT_THROW((void)worker::read_job_file(path), std::runtime_error);
-  // A failing worker run must report failure, not write a result file.
-  const std::string out = path + ".result";
-  EXPECT_NE(worker::run_worker(path, out), 0);
-  std::remove(path.c_str());
+  bytes[30] ^= 0x20;
+  EXPECT_THROW((void)worker::decode_jobs(bytes, "test"), std::runtime_error);
+  // A worker fed the corrupt archive must report failure and answer
+  // nothing.
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  std::ostringstream out;
+  EXPECT_NE(worker::run_worker(in, out), 0);
+  EXPECT_TRUE(out.str().empty()) << "a failed worker wrote a result";
 
-  // A result file is not a job file.
-  const std::string res_path = ::testing::TempDir() + "not_a_job.mfr";
-  worker::write_result_file(res_path, {});
-  EXPECT_THROW((void)worker::read_job_file(res_path), std::runtime_error);
-  std::remove(res_path.c_str());
+  // A result archive is not a job archive.
+  EXPECT_THROW((void)worker::decode_jobs(worker::encode_results({}), "test"),
+               std::runtime_error);
+}
+
+TEST(WorkerProtocol, FramesSurviveAnyChunking) {
+  // A worker's stdout arrives in arbitrary chunks; every split point must
+  // yield the same frames, and a stream cut mid-frame must show as
+  // pending bytes.
+  RunResult a, b;
+  a.workload = "A";
+  b.workload = "B";
+  b.payload = std::make_shared<const std::vector<std::uint8_t>>(
+      std::vector<std::uint8_t>(3000, 7));
+  std::vector<std::uint8_t> stream = worker::frame(
+      worker::encode_results({{0u, a}}));
+  const auto second = worker::frame(worker::encode_results({{1u, b}}));
+  stream.insert(stream.end(), second.begin(), second.end());
+  for (const std::size_t step : {std::size_t{1}, std::size_t{7},
+                                 std::size_t{4096}, stream.size()}) {
+    SCOPED_TRACE("chunk " + std::to_string(step));
+    worker::FrameReader frames;
+    std::vector<std::string> seen;
+    for (std::size_t pos = 0; pos < stream.size(); pos += step) {
+      const std::size_t n = std::min(step, stream.size() - pos);
+      frames.feed({stream.data() + pos, n},
+                  [&](std::span<const std::uint8_t> archive) {
+                    const auto r = worker::decode_results(archive, "test");
+                    ASSERT_EQ(r.size(), 1u);
+                    seen.push_back(r[0].second.workload);
+                  });
+    }
+    EXPECT_EQ(seen, (std::vector<std::string>{"A", "B"}));
+    EXPECT_EQ(frames.pending(), 0u);
+  }
+  worker::FrameReader cut;
+  cut.feed({stream.data(), stream.size() - 1},
+           [](std::span<const std::uint8_t>) {});
+  EXPECT_GT(cut.pending(), 0u);
 }
 
 // ---------------------------------------------- cross-backend determinism
@@ -221,7 +271,7 @@ TEST(Backend, CrossBackendDeterminismUnderDramModel) {
   // Same guarantee with the banked-DRAM memory model as the sweep axis:
   // the model kind and knobs ride in each JobSpec, so every backend
   // (including the worker subprocess, which rebuilds the chip from the
-  // job file alone) must construct the identical memory system.
+  // job archive alone) must construct the identical memory system.
   ExperimentSpec spec;
   spec.name = "xbackend-dram";
   spec.workloads = {*workloads::by_name("2W1"), *workloads::by_name("2W3")};
@@ -354,9 +404,10 @@ TEST(Backend, SampledFixedForksMatchesDirectForkRuns) {
 //
 // Fake worker executables (shell scripts standing in for mflushsim) drive
 // every failure mode a real distributed sweep hits: death by signal,
-// nonzero exit, corrupt or truncated result files. After each, the scratch
-// directory must hold no leaked .mfj/.mfr protocol files — the RAII guard
-// fix — and the surfaced error must name the job, not just the binary.
+// nonzero exit, corrupt or truncated result streams. After each, the
+// scratch directory must hold no protocol files — the worker protocol
+// travels over stdin/stdout only — and the surfaced error must name the
+// job, not just the binary.
 
 namespace fs = std::filesystem;
 
@@ -382,12 +433,13 @@ class FakeWorkerTest : public ::testing::Test {
     return path.string();
   }
 
-  /// Leaked protocol files in the scratch dir.
+  /// Protocol files in the scratch dir (.mfj/.mfr archives, .r<id> parts);
+  /// the stdin/stdout protocol must leave none.
   [[nodiscard]] std::size_t scratch_files() const {
     std::size_t n = 0;
     for (const auto& entry : fs::directory_iterator(dir_)) {
-      const auto ext = entry.path().extension();
-      if (ext == ".mfj" || ext == ".mfr") ++n;
+      const std::string ext = entry.path().extension().string();
+      if (ext == ".mfj" || ext == ".mfr" || ext.rfind(".r", 0) == 0) ++n;
     }
     return n;
   }
@@ -426,13 +478,15 @@ class FakeWorkerTest : public ::testing::Test {
       }
     }
     EXPECT_EQ(scratch_files(), 0u)
-        << "error path leaked protocol files in " << dir_;
+        << "error path left protocol files in " << dir_;
   }
 
   fs::path dir_;
 };
 
 TEST_F(FakeWorkerTest, SignalKilledWorkerNamesTheJobAndCleansScratch) {
+  // The worker dies without reading its stdin: feeding it must not raise
+  // SIGPIPE in the coordinator.
   const std::string script = write_script("kill -KILL $$\n");
   expect_failure_containing(script_options(script),
                             {"killed by signal", "job"});
@@ -444,15 +498,17 @@ TEST_F(FakeWorkerTest, NonzeroExitSurfacesTheCodeAndCleansScratch) {
 }
 
 TEST_F(FakeWorkerTest, CorruptResultFileIsRejectedAndCleaned) {
-  // The worker "succeeds" but writes garbage where the result file should
-  // be: the checksum gate must reject it, not half-read it.
-  const std::string script =
-      write_script("printf 'garbage-result' > \"$4\"\nexit 0\n");
-  expect_failure_containing(script_options(script), {"result file"});
+  // The worker "succeeds" but answers with a well-framed archive of
+  // garbage: the checksum gate must reject it, not half-read it.
+  const std::string script = write_script(
+      "printf '\\016\\0\\0\\0\\0\\0\\0\\0garbage-result'\nexit 0\n");
+  expect_failure_containing(script_options(script), {"result archive"});
 }
 
 TEST_F(FakeWorkerTest, TruncatedResultFileIsRejectedAndCleaned) {
-  const std::string script = write_script(": > \"$4\"\nexit 0\n");
+  // A frame promising 64 bytes, cut off after 3.
+  const std::string script = write_script(
+      "printf '\\100\\0\\0\\0\\0\\0\\0\\0abc'\nexit 0\n");
   expect_failure_containing(script_options(script), {"truncated"});
 }
 
@@ -477,22 +533,20 @@ TEST_F(FakeWorkerTest, RetriesAreBoundedPerBatchWithSplitting) {
 }
 
 TEST_F(FakeWorkerTest, PoisonJobOnlySinksItsOwnBatchMates) {
-  // A worker that fails whenever job 1's spec is in its batch, and execs
-  // the real worker otherwise. With both jobs sharing one batch, splitting
-  // isolates the poison job into its own single-job batch: job 0 still
-  // completes, and the surfaced error names the poisoned work.
+  // Job 1 is poison. With both jobs sharing one batch, splitting isolates
+  // it into its own single-job batch: job 0 still completes, and the
+  // surfaced error names the poisoned work. One slot makes the invocation
+  // order deterministic: 1 = the pair (fails, splits), 2 = job 0 alone
+  // (execs the real worker), 3 and 4 = job 1 alone (fails both attempts).
   const std::string real = default_worker_binary();
   if (real.empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  // The scratch stem embeds the batch's first job id, so the script can
-  // tell the post-split poison single (-job1-) apart; the initial 2-job
-  // batch (-job0-, poisoned by membership) fails via the first-run marker.
-  const std::string marker = (dir_ / "pair-batch-ran").string();
+  const std::string count = (dir_ / "invocations").string();
   const std::string script = write_script(
-      "case \"$2\" in *-job1-*) exit 9;; esac\n"
-      "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
-      "\"; exit 9; fi\nexec \"" + real + "\" \"$@\"\n");
+      "echo x >> \"" + count + "\"\n"
+      "if [ \"$(wc -l < \"" + count + "\")\" -eq 2 ]; then exec \"" + real +
+      "\" \"$@\"; fi\nexit 9\n");
   WorkerBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
@@ -505,6 +559,8 @@ TEST_F(FakeWorkerTest, PoisonJobOnlySinksItsOwnBatchMates) {
     FAIL() << "expected the poisoned sweep to fail";
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find("code 9"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos)
         << e.what();
   }
   // The healthy half of the split batch ran to completion before the
@@ -519,9 +575,8 @@ TEST_F(FakeWorkerTest, TransientFailureRetriesThenSucceeds) {
   if (real.empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  // First invocation dies before touching the protocol files; the retry
-  // (fresh scratch stem) execs the real worker and the sweep completes
-  // bit-identical to serial.
+  // First invocation dies without reading its input; the retry execs the
+  // real worker and the sweep completes bit-identical to serial.
   const std::string marker = (dir_ / "first-attempt").string();
   const std::string script = write_script(
       "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
@@ -536,6 +591,35 @@ TEST_F(FakeWorkerTest, TransientFailureRetriesThenSucceeds) {
                         backend.run_collect(jobs));
   EXPECT_TRUE(fs::exists(marker)) << "the failing first attempt never ran";
   EXPECT_EQ(scratch_files(), 0u);
+}
+
+TEST_F(FakeWorkerTest, ResultsStreamBeforeTheBatchEnds) {
+  // The fake worker answers job 0 with a pre-encoded frame, then keeps
+  // running until the sink callback has seen that result (bounded at
+  // ~10 s, after which it fails). Only a coordinator that streams each
+  // result as it arrives — not at batch end — lets this batch succeed.
+  const std::vector<JobSpec> jobs = {tiny_jobs().front()};
+  const RunResult expected = run_job(jobs[0]);
+  const auto bytes =
+      worker::frame(worker::encode_results({{jobs[0].id, expected}}));
+  const fs::path frame = dir_ / "frame0";
+  std::ofstream(frame, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  const fs::path marker = dir_ / "sink-saw-job0";
+  const std::string script = write_script(
+      "cat \"" + frame.string() + "\"\ni=0\n"
+      "while [ ! -e \"" + marker.string() + "\" ]; do\n"
+      "  i=$((i+1)); [ $i -gt 200 ] && exit 5; sleep 0.05\n"
+      "done\nexit 0\n");
+  WorkerBackend::Options opts = script_options(script);
+  opts.max_attempts = 1;
+
+  ResultSink sink([&](const JobSpec&, const RunResult&) {
+    std::ofstream(marker).put('x');
+  });
+  WorkerBackend(std::move(opts)).run(jobs, sink);
+  EXPECT_TRUE(sink.at(0).metrics == expected.metrics);
 }
 
 // ------------------------------------------------------- spawn deadlines

@@ -378,6 +378,55 @@ TEST_F(CampaignTest, CorruptCacheEntryReadsAsAMissAndReExecutes) {
   expect_identical_results(results, run_experiment(spec, serial));
 }
 
+TEST_F(CampaignTest, TempSweepKeepsLiveWritersAndRemovesDeadOnes) {
+  // mflushd's tenants share one cache, and creating a campaign sweeps it
+  // for crash debris. A temp whose writer is alive is an in-flight write
+  // (deleting it failed that writer's rename); one whose writer is gone
+  // is debris.
+  const fs::path cache = dir_ / "cache";
+  fs::create_directories(cache);
+  const pid_t dead = ::fork();
+  ASSERT_GE(dead, 0);
+  if (dead == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);  // reaped: the pid is gone
+  const fs::path live_tmp =
+      cache / ("0123456789abcdef.mfcr.tmp." + std::to_string(::getpid()) +
+               ".7");
+  const fs::path dead_tmp =
+      cache / ("fedcba9876543210.mfcr.tmp." + std::to_string(dead) + ".0");
+  std::ofstream(live_tmp) << "in flight";
+  std::ofstream(dead_tmp) << "debris";
+
+  (void)CampaignStore::create(dir_.string(), small_spec());
+  EXPECT_TRUE(fs::exists(live_tmp)) << "swept a live writer's temp";
+  EXPECT_FALSE(fs::exists(dead_tmp)) << "kept a dead writer's temp";
+}
+
+TEST(Fsio, RenameFailureReportsTheRenameError) {
+  // The temp is unlinked on failure; the message must still carry the
+  // rename's errno, not unlink's.
+  const fs::path dir = fs::path(::testing::TempDir()) / "fsio-rename-dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "target" / "occupied");
+  const std::vector<std::uint8_t> bytes = {1, 2, 3};
+  try {
+    fsio::write_file_atomic((dir / "target").string(), bytes);
+    FAIL() << "expected renaming onto a non-empty directory to fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Is a directory"),
+              std::string::npos)
+        << e.what();
+  }
+  // The failed attempt's temp did not outlive it.
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------- generations & guards
 
 TEST_F(CampaignTest, FreshCreateOnSameSpecDemandsResume) {

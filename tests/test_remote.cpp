@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -118,6 +123,39 @@ TEST(RemoteHosts, EnvPoolSetButEmptyOrCommentedIsAnError) {
   EXPECT_TRUE(remote::hosts_from_env().empty());
 }
 
+TEST(RemoteHosts, FuzzedTextParsesOrThrowsRuntimeError) {
+  // Every prefix of a realistic hosts file, and every byte of it flipped,
+  // must either parse or throw std::runtime_error — never crash, hang or
+  // throw anything else.
+  const std::string text =
+      "# pool\n"
+      "local slots=2\n"
+      "nodeA slots=4 fail=1 dir=/scratch/x   # beefy\n"
+      "user@nodeB, nodeC; local slots=1 fail=0\n";
+  std::size_t parsed = 0, rejected = 0;
+  const auto check = [&](const std::string& input) {
+    try {
+      (void)remote::parse_hosts(input);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << "non-runtime_error escaped for input: " << input;
+    }
+  };
+  for (std::size_t n = 0; n <= text.size(); ++n) check(text.substr(0, n));
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x10, 0x20, 0x80, 0xff}) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      check(flipped);
+    }
+  }
+  // Both outcomes occur, so the fuzz is not vacuous.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(SshTransportTimeout, MalformedEnvIsAHardErrorAndValidOnesResolve) {
   // env.h policy: a typo'd MFLUSH_SSH_TIMEOUT must fail construction
   // loudly, never silently fall back to the default deadline.
@@ -168,25 +206,22 @@ TEST(RemoteBatching, AutoSizeAmortizesButKeepsStealingSlack) {
 // exercise the scheduler (work stealing, re-queue, retirement, scratch
 // hygiene) without needing the mflushsim binary on disk.
 
-/// Run one batch in-process through run_job — the full file protocol
+/// Run one batch in-process through run_job — the full archive protocol
 /// without a subprocess.
-void run_batch_in_process(const std::string& job_path,
-                          const std::string& result_path) {
-  const std::vector<JobSpec> jobs = worker::read_job_file(job_path);
-  std::vector<std::pair<std::uint32_t, RunResult>> results;
-  results.reserve(jobs.size());
-  for (const JobSpec& job : jobs) results.emplace_back(job.id, run_job(job));
-  worker::write_result_file(result_path, results);
+void run_batch_in_process(std::span<const std::uint8_t> job_bytes,
+                          const remote::Transport::OnResult& on_result) {
+  for (const JobSpec& job : worker::decode_jobs(job_bytes, "test"))
+    on_result(worker::encode_results({{job.id, run_job(job)}}));
 }
 
 class InProcessTransport final : public remote::Transport {
  public:
   [[nodiscard]] std::string name() const override { return "test-inproc"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string&) override {
-    run_batch_in_process(job_path, result_path);
+  void run_batch(const remote::HostSpec&,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string&) override {
+    run_batch_in_process(job_bytes, on_result);
   }
 };
 
@@ -226,8 +261,8 @@ class BrokenTransport final : public remote::Transport {
       throw remote::TransportError(host.label() + ": host unreachable");
     }
   }
-  void run_batch(const remote::HostSpec& host, const std::string&,
-                 const std::string&, const std::string& what) override {
+  void run_batch(const remote::HostSpec& host, std::span<const std::uint8_t>,
+                 const OnResult&, const std::string& what) override {
     if (rendezvous_ != nullptr) rendezvous_->bump();
     throw remote::TransportError(host.label() + ": lost contact during " +
                                  what);
@@ -246,11 +281,11 @@ class GatedInProcessTransport final : public remote::Transport {
       : rendezvous_(rendezvous) {}
   [[nodiscard]] std::string name() const override { return "test-gated"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec&, const std::string& job_path,
-                 const std::string& result_path,
-                 const std::string&) override {
+  void run_batch(const remote::HostSpec&,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string&) override {
     rendezvous_.await(2);
-    run_batch_in_process(job_path, result_path);
+    run_batch_in_process(job_bytes, on_result);
   }
 
  private:
@@ -334,8 +369,8 @@ class PairedBrokenTransport final : public remote::Transport {
       : rendezvous_(rendezvous) {}
   [[nodiscard]] std::string name() const override { return "test-paired"; }
   void prepare(const remote::HostSpec&) override {}
-  void run_batch(const remote::HostSpec& host, const std::string&,
-                 const std::string&, const std::string& what) override {
+  void run_batch(const remote::HostSpec& host, std::span<const std::uint8_t>,
+                 const OnResult&, const std::string& what) override {
     rendezvous_.bump();
     rendezvous_.await(2);
     throw remote::TransportError(host.label() + ": dropped " + what);
@@ -432,46 +467,17 @@ TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
   };
   const std::vector<JobSpec> jobs = small_grid_jobs();
   (void)RemoteBackend(opts).run_collect(jobs);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "success leaked protocol files";
+  EXPECT_TRUE(fs::is_empty(scratch)) << "success left files behind";
 
-  // Failure path: the job file is staged before the transport throws, and
-  // the guard must still scrub it.
+  // Failure path: nothing may be left behind either.
   opts.max_attempts = 1;
   opts.transport_factory = [](const remote::HostSpec&) {
     return std::make_unique<BrokenTransport>(/*fail_prepare=*/false);
   };
   EXPECT_THROW((void)RemoteBackend(opts).run_collect(jobs),
                std::exception);
-  EXPECT_TRUE(fs::is_empty(scratch)) << "failure leaked protocol files";
+  EXPECT_TRUE(fs::is_empty(scratch)) << "failure left files behind";
 
-  fs::remove_all(scratch);
-}
-
-TEST(RemoteBackendTest, KeepFilesLeavesTheProtocolPairs) {
-  const fs::path scratch =
-      fs::path(::testing::TempDir()) / "remote-keep-test";
-  fs::remove_all(scratch);
-  fs::create_directories(scratch);
-
-  RemoteBackend::Options opts;
-  opts.worker_binary = "unused-by-injected-transports";
-  opts.scratch_dir = scratch.string();
-  opts.batch_jobs = 4;
-  opts.keep_files = true;
-  opts.transport_factory = [](const remote::HostSpec&) {
-    return std::make_unique<InProcessTransport>();
-  };
-  std::vector<JobSpec> jobs = small_grid_jobs();
-  jobs.resize(4);
-  (void)RemoteBackend(opts).run_collect(jobs);
-
-  std::size_t job_files = 0, result_files = 0;
-  for (const auto& entry : fs::directory_iterator(scratch)) {
-    if (entry.path().extension() == ".mfj") ++job_files;
-    if (entry.path().extension() == ".mfr") ++result_files;
-  }
-  EXPECT_EQ(job_files, 1u);
-  EXPECT_EQ(result_files, 1u);
   fs::remove_all(scratch);
 }
 
@@ -511,6 +517,171 @@ TEST(RemoteBackendTest, DefaultPoolIsLoopbackFanOut) {
   jobs.resize(4);
   SerialBackend serial;
   expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+}
+
+// ------------------------------------------ SshTransport over a fake ssh
+//
+// A fake `ssh` first on PATH strips the -o options and the host, then runs
+// the remote command with sh -c on this machine: SshTransport's whole path
+// (binary upload over stdin, one ssh call per batch, framed results on
+// ssh's stdout) runs without a network. The hosts are loopback addresses,
+// so even a bypassed fake could not reach another machine.
+
+class FakeSshTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::path(::testing::TempDir()) /
+           (std::string("fake-ssh-") + info->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_ / "bin");
+    const char* env_path = std::getenv("PATH");
+    old_path_ = env_path != nullptr ? env_path : "/usr/bin:/bin";
+    install_ssh(
+        "while [ \"$1\" = -o ]; do shift 2; done\n"
+        "shift\n"
+        "exec /bin/sh -c \"$1\"\n");
+    // scp must never be needed; a call leaves a mark and fails.
+    install("scp",
+            ": > \"" + (dir_ / "scp-called").string() + "\"\nexit 1\n");
+    const std::string path = (dir_ / "bin").string() + ":" + old_path_;
+    ASSERT_EQ(setenv("PATH", path.c_str(), 1), 0);
+    ASSERT_EQ(first_on_path("ssh"), (dir_ / "bin" / "ssh").string());
+  }
+  void TearDown() override {
+    setenv("PATH", old_path_.c_str(), 1);
+    fs::remove_all(dir_);
+  }
+
+  void install(const std::string& name, const std::string& body) {
+    const fs::path path = dir_ / "bin" / name;
+    {
+      std::ofstream out(path);
+      out << "#!/bin/sh\n" << body;
+    }
+    fs::permissions(path, fs::perms::owner_all, fs::perm_options::add);
+  }
+  /// The fake ssh: logs its argument line, then runs `body`.
+  void install_ssh(const std::string& body) {
+    install("ssh",
+            "echo \"$*\" >> \"" + log().string() + "\"\n" + body);
+  }
+
+  [[nodiscard]] static std::string first_on_path(const std::string& tool) {
+    std::string path = std::getenv("PATH");
+    std::size_t begin = 0;
+    for (;;) {
+      const std::size_t end = path.find(':', begin);
+      const fs::path candidate =
+          fs::path(path.substr(begin, end - begin)) / tool;
+      if (::access(candidate.c_str(), X_OK) == 0) return candidate.string();
+      if (end == std::string::npos) return {};
+      begin = end + 1;
+    }
+  }
+
+  [[nodiscard]] remote::HostSpec host(std::size_t index) const {
+    remote::HostSpec h = remote::parse_host(
+        "127.0.0.1 dir=" + (dir_ / ("host" + std::to_string(index))).string());
+    h.index = index;
+    return h;
+  }
+  [[nodiscard]] fs::path log() const { return dir_ / "ssh.log"; }
+  /// Logged ssh calls whose argument line contains `needle`.
+  [[nodiscard]] std::size_t ssh_calls(const std::string& needle) const {
+    std::ifstream in(log());
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+      if (line.find(needle) != std::string::npos) ++n;
+    return n;
+  }
+
+  fs::path dir_;
+  std::string old_path_;
+};
+
+TEST_F(FakeSshTest, TwoHostSweepMatchesSerial) {
+  const std::string real = default_worker_binary();
+  if (real.empty()) {
+    GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+  }
+  RemoteBackend::Options opts;
+  opts.worker_binary = real;
+  opts.hosts = {host(0), host(1)};
+  opts.batch_jobs = 2;
+  const std::vector<JobSpec> jobs = small_grid_jobs();  // 8 jobs, 4 batches
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs),
+                        RemoteBackend(opts).run_collect(jobs));
+  // One ssh call per batch, plus one upload per host that ran a batch.
+  EXPECT_EQ(ssh_calls("--worker -"), 4u);
+  const std::size_t uploads = ssh_calls("cat >");
+  EXPECT_GE(uploads, 1u);
+  EXPECT_LE(uploads, 2u);
+  EXPECT_EQ(ssh_calls(""), 4u + uploads);
+  EXPECT_FALSE(fs::exists(dir_ / "scp-called"));
+
+  // A sampled sweep: warmed parents ship to each host's store, and the
+  // multi-megabyte warm payloads come back over ssh's stdout.
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.warmup = 600;
+  spec.measure = 800;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 2;
+  spec.sampled.fork_stride = 400;
+  RemoteBackend remote(opts);
+  expect_identical_runs(run_experiment(spec, serial),
+                        run_experiment(spec, remote));
+}
+
+TEST_F(FakeSshTest, PrepareUploadsTheBinaryOverStdin) {
+  // Larger than a socket buffer, so the upload needs several writes.
+  std::vector<char> binary(300 * 1024);
+  for (std::size_t i = 0; i < binary.size(); ++i)
+    binary[i] = static_cast<char>((i * 2654435761u) >> 13);
+  const fs::path source = dir_ / "worker-binary";
+  std::ofstream(source, std::ios::binary)
+      .write(binary.data(), static_cast<std::streamsize>(binary.size()));
+
+  remote::SshTransport ssh(source.string(), 30);
+  const remote::HostSpec h = host(0);
+  ssh.prepare(h);
+
+  const fs::path shipped = fs::path(h.remote_dir) / "mflushsim.0";
+  std::ifstream in(shipped, std::ios::binary);
+  const std::vector<char> got((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_TRUE(got == binary) << "uploaded bytes differ";
+  EXPECT_EQ(::access(shipped.c_str(), X_OK), 0) << "not executable";
+  EXPECT_FALSE(fs::exists(shipped.string() + ".tmp"));
+  EXPECT_EQ(ssh_calls(""), 1u);
+  EXPECT_FALSE(fs::exists(dir_ / "scp-called"));
+}
+
+TEST_F(FakeSshTest, WedgedSshHitsTheTimeout) {
+  install_ssh("exec sleep 30\n");
+  ASSERT_EQ(setenv("MFLUSH_SSH_TIMEOUT", "1", 1), 0);
+  remote::SshTransport ssh("unused-worker-binary");
+  ASSERT_EQ(unsetenv("MFLUSH_SSH_TIMEOUT"), 0);
+
+  const std::vector<std::uint8_t> job_bytes =
+      worker::encode_jobs({small_grid_jobs().front()});
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    ssh.run_batch(host(0), job_bytes, [](std::span<const std::uint8_t>) {},
+                  "batch 0 (job 0)");
+    FAIL() << "expected the wedged ssh to time out";
+  } catch (const remote::TransportError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+    EXPECT_NE(what.find("batch 0"), std::string::npos) << what;
+  }
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(waited, 10.0) << "the deadline did not cut the wedge short";
 }
 
 }  // namespace

@@ -145,8 +145,6 @@ TEST_F(WarmStoreTest, PutLookupRoundTripsAcrossInstances) {
 }
 
 TEST_F(WarmStoreTest, JobAndResultArchivesCarryWarmFields) {
-  const std::string path = (dir_ / "jobs.mfj").string();
-  fs::create_directories(dir_);
 
   JobSpec warm;
   warm.id = 3;
@@ -168,8 +166,8 @@ TEST_F(WarmStoreTest, JobAndResultArchivesCarryWarmFields) {
   resolved.snapshot = std::make_shared<const std::vector<std::uint8_t>>(
       std::vector<std::uint8_t>{1, 2, 3});
 
-  worker::write_job_file(path, {warm, by_ref, resolved});
-  const std::vector<JobSpec> back = worker::read_job_file(path);
+  const std::vector<JobSpec> back = worker::decode_jobs(
+      worker::encode_jobs({warm, by_ref, resolved}), "test");
   ASSERT_EQ(back.size(), 3u);
   EXPECT_TRUE(back[0].warm_only);
   EXPECT_EQ(back[0].parent_key, warm.parent_key);
