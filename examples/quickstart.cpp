@@ -31,7 +31,7 @@ int main() {
   spec.measure = bench_cycles(60'000);
 
   // The same study as a spec file — save this as quickstart.spec and
-  // `mflushsim --spec quickstart.spec` (add `--backend worker` to fan the
+  // `mflushsim --spec quickstart.spec` (add `--backend remote` to fan the
   // jobs out across mflushsim subprocesses) reproduces the run below.
   std::cout << "-- equivalent spec file (mflushsim --spec FILE):\n"
             << spec.to_text() << '\n';

@@ -207,16 +207,16 @@ class WakeupWheel {
   std::vector<std::vector<Slot>> buckets_;
   Cycle mask_;  // lint: transient — ctor geometry (bucket count - 1)
   std::vector<Slot> far_;
-  std::size_t count_ = 0;   // lint: transient — recounted while load refills
-  bool strict_release_;     // lint: transient — ctor debug mode
+  std::size_t count_ = 0;  // lint: transient — recounted while load refills
   // Memoized next_due: load invalidates, the next query rescans.
   mutable Cycle next_cached_ = kNeverCycle;  // lint: transient — memo cache
-  mutable bool next_valid_ = true;           // lint: transient — memo cache
-#ifndef NDEBUG
-  Cycle last_pop_now_ = 0;
-  // lint: transient — debug-only pop-order assert state, reset by load
-  bool last_pop_valid_ = false;
-#endif
+  // Pop-order assert state, declared in every build so that the layout
+  // does not depend on NDEBUG (only assert-enabled builds use it).
+  Cycle last_pop_now_ = 0;  // lint: transient — assert state
+  // The flags share one word, so the assert state costs 8 bytes.
+  bool strict_release_;             // lint: transient — ctor debug mode
+  mutable bool next_valid_ = true;  // lint: transient — memo cache
+  bool last_pop_valid_ = false;     // lint: transient — assert state
 };
 
 }  // namespace mflush

@@ -24,7 +24,6 @@
 #include "common/sockio.h"
 #include "sim/campaign.h"
 #include "sim/parallel.h"
-#include "sim/remote.h"
 #include "sim/warmstore.h"
 
 extern char** environ;
@@ -244,10 +243,21 @@ int spawn_and_wait(const std::string& bin,
   if (out_child.fd >= 0)
     ::posix_spawn_file_actions_adddup2(&actions, out_child.fd,
                                        STDOUT_FILENO);
+  // Own process group (pgroup 0 = the child's pid), SIGPIPE at default.
+  posix_spawnattr_t attr;
+  ::posix_spawnattr_init(&attr);
+  sigset_t sigdef;
+  ::sigemptyset(&sigdef);
+  ::sigaddset(&sigdef, SIGPIPE);
+  ::posix_spawnattr_setsigdefault(&attr, &sigdef);
+  ::posix_spawnattr_setpgroup(&attr, 0);
+  ::posix_spawnattr_setflags(&attr,
+                             POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF);
   pid_t pid = 0;
-  const int rc = ::posix_spawnp(&pid, bin.c_str(), &actions, nullptr,
+  const int rc = ::posix_spawnp(&pid, bin.c_str(), &actions, &attr,
                                 argv.data(), environ);
   ::posix_spawn_file_actions_destroy(&actions);
+  ::posix_spawnattr_destroy(&attr);
   if (rc != 0) {
     throw std::runtime_error("failed to spawn worker '" + bin + "'" +
                              context + ": " + std::strerror(rc));
@@ -256,13 +266,14 @@ int spawn_and_wait(const std::string& bin,
   out_child.reset();
 
   // Until the child is reaped, every exit path (a deadline, a throwing
-  // on_output) kills and reaps it, so no zombie outlives this call.
+  // on_output) kills its process group and reaps it, so neither a zombie
+  // nor an orphaned grandchild outlives this call.
   struct Reaper {
     pid_t pid;
     bool reaped = false;
     ~Reaper() {
       if (reaped) return;
-      ::kill(pid, SIGKILL);
+      ::kill(-pid, SIGKILL);
       while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
       }
     }
@@ -406,30 +417,6 @@ void InProcessBackend::run(const std::vector<JobSpec>& jobs,
   pool_->for_each_index(jobs.size(), [&](std::size_t i) {
     sink.push(jobs[i], run_job(jobs[i]));
   });
-}
-
-WorkerBackend::WorkerBackend() : WorkerBackend(Options()) {}
-
-WorkerBackend::WorkerBackend(Options options) : opts_(std::move(options)) {}
-
-void WorkerBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
-  if (jobs.empty()) return;
-  // One loopback host with max_processes slots: the batched remote
-  // scheduler's retry paths apply here for free.
-  remote::HostSpec local;
-  local.name = "local";
-  local.slots = opts_.max_processes != 0 ? opts_.max_processes
-                                         : ParallelRunner::default_jobs();
-
-  RemoteBackend::Options o;
-  o.hosts = {local};
-  o.worker_binary = opts_.worker_binary;
-  o.scratch_dir = opts_.scratch_dir;
-  o.batch_jobs = opts_.batch_jobs;
-  o.max_attempts = opts_.max_attempts;
-  o.on_event = opts_.on_event;
-  o.warm_store = opts_.warm_store;
-  RemoteBackend(std::move(o)).run(jobs, sink);
 }
 
 void record_argv0(const char* argv0) {

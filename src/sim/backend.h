@@ -103,48 +103,6 @@ class InProcessBackend final : public ExperimentBackend {
   ParallelRunner* pool_;
 };
 
-/// Jobs shell out to `mflushsim --worker -` subprocesses speaking the
-/// stdin/stdout protocol below. This is a thin veneer over RemoteBackend
-/// (sim/remote.h) with a single loopback host: jobs run in *batches* per
-/// subprocess, and failed batches retry.
-class WorkerBackend final : public ExperimentBackend {
- public:
-  struct Options {
-    /// Worker binary; empty means default_worker_binary().
-    std::string worker_binary;
-    /// Concurrent worker processes; 0 means ParallelRunner::default_jobs().
-    unsigned max_processes = 0;
-    /// Directory for session-scoped warm stores (see
-    /// RemoteBackend::Options::scratch_dir); empty means the system temp
-    /// dir.
-    std::string scratch_dir;
-    /// Jobs per worker invocation; 0 means the scheduler's auto sizing,
-    /// 1 reproduces the old one-subprocess-per-job pattern.
-    std::size_t batch_jobs = 0;
-    /// Total attempts per batch (>= 1) before the sweep fails. A worker
-    /// that exits nonzero, dies by signal, or emits a corrupt result is
-    /// retried up to this bound.
-    unsigned max_attempts = 3;
-    /// Serialized scheduler narration (batch failures and retries) —
-    /// without it a transient worker crash is retried away invisibly.
-    /// Same contract as RemoteBackend::Options::on_event.
-    std::function<void(const std::string&)> on_event;
-    /// Coordinator-side warm store shared with the loopback worker: fork
-    /// jobs referencing parents present in it ship the hash, not the
-    /// bytes. Null disables warm shipping (bytes embed inline as before).
-    WarmStore* warm_store = nullptr;
-  };
-
-  WorkerBackend();  ///< default Options
-  explicit WorkerBackend(Options options);
-
-  [[nodiscard]] std::string name() const override { return "worker"; }
-  void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
-
- private:
-  Options opts_;
-};
-
 namespace proc {
 
 /// Receives each chunk a child writes to its stdout, in order.
@@ -158,6 +116,11 @@ using OnOutput = std::function<void(std::span<const std::uint8_t>)>;
 /// running at the deadline is SIGKILLed, reaped, and reported as a throw
 /// naming the timeout — so a wedged subprocess (a hung ssh, a stuck
 /// worker) surfaces as an ordinary failure instead of blocking forever.
+/// The child leads its own process group, and every kill goes to the whole
+/// group: a grandchild (ssh's helpers, a shell's `sleep`) cannot outlive
+/// the deadline and hold the output open. The child starts with SIGPIPE at
+/// its default, so a worker whose coordinator died exits at its next
+/// result write.
 ///
 /// A non-empty `input` is fed to the child's stdin, which then reads EOF
 /// (empty: stdin is inherited). With `on_output`, the child's stdout is
@@ -166,7 +129,7 @@ using OnOutput = std::function<void(std::span<const std::uint8_t>)>;
 /// child that exits without reading its input shows up as its exit status,
 /// never as SIGPIPE killing the caller. One poll() loop drives the input,
 /// the output and the deadline; an exception thrown by `on_output` kills
-/// and reaps the child, then propagates.
+/// the group and reaps the child, then propagates.
 int spawn_and_wait(const std::string& bin,
                    const std::vector<std::string>& args,
                    const std::string& what = {}, unsigned timeout_s = 0,

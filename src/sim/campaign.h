@@ -199,7 +199,7 @@ class CampaignStore {
 
 /// run_experiment through `store`: jobs whose key is already cached stream
 /// straight from the cache; the rest are journaled as dispatched, executed
-/// on `backend` (Serial/InProcess/Worker/Remote — unchanged), and journaled
+/// on `backend` (Serial/InProcess/Remote — unchanged), and journaled
 /// done as each result lands. Emits a final
 /// "campaign: finished (<executed> executed, <cached> cached)" event.
 /// Returns the full job-id-ordered result vector, bit-identical to an

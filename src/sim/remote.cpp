@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -277,24 +278,73 @@ namespace {
 using remote::HostSpec;
 using remote::Transport;
 
-/// A [begin, end) slice of the run's job vector: no JobSpec copies wait
+/// Job ids already streamed into one run's sink. A failed attempt may
+/// have streamed some of its results before dying — and its retry (or
+/// split halves) will produce them again. Results are deterministic, but
+/// ResultSink::push throws on a duplicate slot, so every push goes through
+/// deliver(): exactly one copy of each job's result enters the sink no
+/// matter how many attempts touched it. Job ids are dense per campaign, so
+/// the set belongs to the run, never to the pool.
+struct Delivered {
+  std::mutex m;
+  std::unordered_set<std::uint32_t> ids;
+
+  /// True when this call pushed the result.
+  bool deliver(ResultSink& sink, const JobSpec& job, RunResult result) {
+    {
+      const std::lock_guard lk(m);
+      if (!ids.insert(job.id).second) return false;
+    }
+    try {
+      sink.push(job, std::move(result));
+    } catch (...) {
+      // The slot stayed empty (ResultSink fills it only after its
+      // callback succeeds): release the claim so a retry can fill it.
+      const std::lock_guard lk(m);
+      ids.erase(job.id);
+      throw;
+    }
+    return true;
+  }
+};
+
+/// One run() call: the caller blocks until none of its batches is queued
+/// or in flight. All but `delivered` is guarded by the pool mutex.
+struct Run {
+  Run(RemoteBackend::Tenant& t, const std::vector<JobSpec>& j, ResultSink& s)
+      : tenant(t), jobs(j), sink(s) {}
+
+  RemoteBackend::Tenant& tenant;
+  const std::vector<JobSpec>& jobs;
+  ResultSink& sink;
+  bool has_parents = false;
+  Delivered delivered;
+  std::size_t pending = 0;            ///< batches queued or in flight
+  std::size_t next_batch_number = 0;  ///< for batches minted by splitting
+  std::exception_ptr error;           ///< first fatal error; ends the run
+  std::size_t uploads = 0;            ///< parent snapshots shipped to hosts
+  std::size_t upload_bytes = 0;       ///< their total snapshot byte size
+};
+
+/// A [begin, end) slice of its run's job vector: no JobSpec copies wait
 /// in the queue, which matters when thousands of sampled-mode jobs each
 /// embed a warmed snapshot.
 struct Batch {
+  Run* run = nullptr;
   std::size_t number = 0;  ///< stable index for event messages
   std::size_t begin = 0;
   std::size_t end = 0;
   unsigned attempts = 0;
 
-  [[nodiscard]] std::string describe(
-      const std::vector<JobSpec>& all_jobs) const {
-    if (end - begin == 1) {
-      return "batch " + std::to_string(number) + " (job " +
-             std::to_string(all_jobs[begin].id) + ")";
-    }
-    return "batch " + std::to_string(number) + " (jobs " +
-           std::to_string(all_jobs[begin].id) + "-" +
-           std::to_string(all_jobs[end - 1].id) + ")";
+  [[nodiscard]] std::string describe() const {
+    const std::vector<JobSpec>& all = run->jobs;
+    const std::string& tenant = run->tenant.id();
+    std::string out = tenant.empty() ? "" : "campaign " + tenant + " ";
+    out += "batch " + std::to_string(number);
+    if (end - begin == 1)
+      return out + " (job " + std::to_string(all[begin].id) + ")";
+    return out + " (jobs " + std::to_string(all[begin].id) + "-" +
+           std::to_string(all[end - 1].id) + ")";
   }
 };
 
@@ -303,9 +353,14 @@ struct HostState {
   std::unique_ptr<Transport> transport;
   std::mutex prepare_mutex;
   bool prepared = false;
-  unsigned failures = 0;  // guarded by the scheduler mutex
-  bool dead = false;      // guarded by the scheduler mutex
+  unsigned failures = 0;  // guarded by the pool mutex
+  bool dead = false;      // guarded by the pool mutex
 
+  /// The host-side warm store, handed to workers of runs with warmed
+  /// parents. A session store (local host, no coordinator store) is
+  /// removed with the pool.
+  std::string warm_dir;
+  bool session_store = false;
   /// The host's warm store IS the coordinator's (local host + configured
   /// store): nothing ever uploads, forks always ship by hash.
   bool warm_shared = false;
@@ -325,32 +380,6 @@ struct HostState {
   }
 };
 
-/// Shared scheduler state: a queue of batches plus completion/abort
-/// bookkeeping. Work-stealing is the queue itself — every live host slot
-/// pulls the next batch, so a retired host's re-queued work drains onto
-/// whichever hosts stay healthy.
-struct Scheduler {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<Batch> queue;
-  std::size_t done = 0;
-  std::size_t total = 0;
-  std::size_t next_batch_number = 0;  ///< for batches minted by splitting
-  std::size_t live_hosts = 0;
-  std::size_t uploads = 0;       ///< parent snapshots shipped to hosts
-  std::size_t upload_bytes = 0;  ///< their total snapshot byte size
-  bool aborted = false;
-  std::exception_ptr first_error;
-  std::function<void(const std::string&)> on_event;
-
-  void event(const std::string& line) {
-    if (on_event) on_event(line);
-  }
-  [[nodiscard]] bool finished() const {
-    return aborted || done == total;
-  }
-};
-
 /// A parent snapshot shipped inline to one host — recorded by
 /// run_batch_once, reported by the slot loop once the batch succeeds.
 struct UploadRecord {
@@ -358,47 +387,21 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
-/// Job ids already streamed into the sink this run. A failed attempt may
-/// have streamed some of its results before dying — and its retry (or
-/// split halves) will produce them again. Results are deterministic, but
-/// ResultSink::push throws on a duplicate slot, so every push goes through
-/// deliver(): exactly one copy of each job's result enters the sink no
-/// matter how many attempts touched it.
-struct Delivered {
-  std::mutex m;
-  std::unordered_set<std::uint32_t> ids;
-
-  void deliver(ResultSink& sink, const JobSpec& job, RunResult result) {
-    {
-      const std::lock_guard lk(m);
-      if (!ids.insert(job.id).second) return;
-    }
-    try {
-      sink.push(job, std::move(result));
-    } catch (...) {
-      // The slot stayed empty (ResultSink fills it only after its
-      // callback succeeds): release the claim so a retry can fill it.
-      const std::lock_guard lk(m);
-      ids.erase(job.id);
-      throw;
-    }
-  }
-};
-
 /// One attempt of one batch: encode the job archive, move it through the
 /// transport, and validate and stream each result as it arrives. Throws on
 /// any failure; results streamed before the failure stay delivered.
 void run_batch_once(HostState& host, const Batch& batch,
-                    const std::vector<JobSpec>& all_jobs,
                     WarmStore* coordinator_store,
-                    std::vector<UploadRecord>& uploads, Delivered& delivered,
-                    ResultSink& sink) {
+                    std::vector<UploadRecord>& uploads,
+                    std::atomic<std::uint64_t>& executed) {
   host.ensure_prepared();
+  Run& run = *batch.run;
   const auto first =
-      all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.begin);
-  const auto last =
-      all_jobs.begin() + static_cast<std::ptrdiff_t>(batch.end);
-  const std::string what = batch.describe(all_jobs);
+      run.jobs.begin() + static_cast<std::ptrdiff_t>(batch.begin);
+  const auto last = run.jobs.begin() + static_cast<std::ptrdiff_t>(batch.end);
+  const std::string what = batch.describe();
+  HostSpec spec = host.spec;
+  if (run.has_parents) spec.warm_store_dir = host.warm_dir;
 
   // The only copy of the slice, alive just while encoding the job archive
   // (the snapshot payloads inside are shared_ptr-shared, not duplicated).
@@ -406,7 +409,7 @@ void run_batch_once(HostState& host, const Batch& batch,
   // stripped: a parent already present on the host (or embedded once
   // earlier in this same batch) travels as its content hash alone.
   std::vector<JobSpec> slice(first, last);
-  if (!host.spec.warm_store_dir.empty()) {
+  if (run.has_parents) {
     const std::lock_guard lk(host.warm_mutex);
     std::unordered_set<std::uint64_t> in_batch;
     for (JobSpec& j : slice) {
@@ -431,7 +434,7 @@ void run_batch_once(HostState& host, const Batch& batch,
   std::unordered_map<std::uint32_t, const JobSpec*> unanswered;
   for (auto it = first; it != last; ++it) unanswered.emplace(it->id, &*it);
   host.transport->run_batch(
-      host.spec, worker::encode_jobs(slice),
+      spec, worker::encode_jobs(slice),
       [&](std::span<const std::uint8_t> archive) {
         auto entries = worker::decode_results(archive, "result of " + what);
         const auto it = entries.size() == 1
@@ -443,7 +446,9 @@ void run_batch_once(HostState& host, const Batch& batch,
         }
         const JobSpec& job = *it->second;
         unanswered.erase(it);
-        delivered.deliver(sink, job, std::move(entries.front().second));
+        const bool pushed = run.delivered.deliver(
+            run.sink, job, std::move(entries.front().second));
+        if (pushed && !job.warm_only) ++executed;
       },
       what);
   if (!unanswered.empty()) {
@@ -457,7 +462,7 @@ void run_batch_once(HostState& host, const Batch& batch,
   // host-side store — the worker installs embedded copies before running
   // and stores warm-job captures as they land — so later batches on this
   // host ship hashes only.
-  if (!host.spec.warm_store_dir.empty() && !host.warm_shared) {
+  if (run.has_parents && !host.warm_shared) {
     const std::lock_guard lk(host.warm_mutex);
     for (const JobSpec& j : slice) {
       if (j.parent_key != 0) host.warm_present.insert(j.parent_key);
@@ -465,228 +470,311 @@ void run_batch_once(HostState& host, const Batch& batch,
   }
 }
 
-void host_slot_loop(Scheduler& sched, HostState& host,
-                    const std::vector<JobSpec>& all_jobs,
-                    unsigned max_attempts, unsigned host_max_failures,
-                    WarmStore* coordinator_store, Delivered& delivered,
-                    ResultSink& sink) {
-  for (;;) {
-    Batch batch;
-    {
-      std::unique_lock lk(sched.m);
-      sched.cv.wait(lk, [&] {
-        return sched.finished() || host.dead || !sched.queue.empty();
-      });
-      if (sched.finished() || host.dead) return;
-      batch = std::move(sched.queue.front());
-      sched.queue.pop_front();
-    }
-
-    ++batch.attempts;
-    std::vector<UploadRecord> uploads;
-    std::exception_ptr error;
-    std::string error_text;
-    try {
-      run_batch_once(host, batch, all_jobs, coordinator_store, uploads,
-                     delivered, sink);
-    } catch (const std::exception& e) {
-      error = std::current_exception();
-      error_text = e.what();
-    }
-
-    std::unique_lock lk(sched.m);
-    if (!error) {
-      for (const UploadRecord& u : uploads) {
-        ++sched.uploads;
-        sched.upload_bytes += u.bytes;
-        sched.event(host.spec.label() + ": uploaded parent " +
-                    campaign::key_hex(u.key) + " (" +
-                    std::to_string(u.bytes) + " bytes)");
-      }
-      ++sched.done;
-      if (sched.finished()) sched.cv.notify_all();
-      continue;
-    }
-
-    ++host.failures;
-    sched.event(host.spec.label() + " failed " + batch.describe(all_jobs) +
-                " (attempt " + std::to_string(batch.attempts) + "/" +
-                std::to_string(max_attempts) + "): " + error_text);
-    if (batch.attempts >= max_attempts) {
-      if (!sched.first_error) sched.first_error = error;
-      sched.aborted = true;
-      sched.cv.notify_all();
-      return;
-    }
-    if (batch.end - batch.begin > 1) {
-      // Poison-job containment: a batch failure says *something* in the
-      // batch (or its host) is bad, not that every job is. Re-queueing the
-      // batch whole would let one crashing job burn the attempt budget of
-      // all its batch-mates; splitting halves the blast radius each retry
-      // until the poison job sits alone in a batch and fails on its own
-      // attempts. The halves are fresh batches with fresh budgets, so a
-      // lineage stays bounded: at most 2N-1 batches of max_attempts each.
-      Batch left, right;
-      left.number = sched.next_batch_number++;
-      left.begin = batch.begin;
-      left.end = batch.begin + (batch.end - batch.begin) / 2;
-      right.number = sched.next_batch_number++;
-      right.begin = left.end;
-      right.end = batch.end;
-      sched.event(batch.describe(all_jobs) + " split into " +
-                  left.describe(all_jobs) + " and " +
-                  right.describe(all_jobs) +
-                  " to isolate a possible poison job");
-      ++sched.total;  // one batch became two
-      sched.queue.push_back(left);
-      sched.queue.push_back(right);
-    } else {
-      sched.queue.push_back(std::move(batch));
-    }
-    // Retire the host after repeated failures so its share of the sweep
-    // steals onto healthy hosts — but never the last one standing, whose
-    // batches should run out their attempts instead.
-    if (!host.dead && host.failures >= host_max_failures &&
-        sched.live_hosts > 1) {
-      host.dead = true;
-      --sched.live_hosts;
-      sched.event(host.spec.label() + " retired after " +
-                  std::to_string(host.failures) +
-                  " failures; re-queued work steals onto the remaining " +
-                  std::to_string(sched.live_hosts) + " host(s)");
-    }
-    sched.cv.notify_all();
-    if (host.dead) return;
-  }
-}
+/// Session warm-store directories are named per pool, so two pools in one
+/// process never share (and never delete) each other's store.
+std::atomic<unsigned> g_pool_serial{0};
 
 }  // namespace
 
+/// The one scheduler: per-tenant batch queues in front of every host slot.
+/// Work stealing is the queues themselves — every live slot pulls the next
+/// batch, so a retired host's re-queued work drains onto whichever hosts
+/// stay healthy.
+struct RemoteBackend::Pool {
+  explicit Pool(Options o) : opts(std::move(o)) {}
+
+  Options opts;
+  std::mutex m;
+  std::condition_variable work_cv;  ///< slots: a batch was queued, or stop
+  std::condition_variable done_cv;  ///< runs: a batch finished for good
+  bool stopping = false;
+  std::vector<std::unique_ptr<HostState>> hosts;  ///< empty until started
+  std::size_t live_hosts = 0;
+  std::size_t total_slots = 0;
+  /// Queued batches per tenant; a tenant's entry is erased once empty.
+  std::map<Tenant*, std::deque<Batch>> queues;
+  std::vector<std::thread> threads;  ///< joined by ~RemoteBackend
+
+  void event(const std::string& line) const {
+    if (opts.on_event) opts.on_event(line);
+  }
+
+  /// Build the hosts and start one thread per host slot (first run only).
+  void start_locked() {
+    if (!hosts.empty()) return;
+    std::vector<HostSpec> specs = opts.hosts;
+    if (specs.empty()) {
+      HostSpec local;
+      local.name = "local";
+      local.slots = ParallelRunner::default_jobs();
+      specs.push_back(local);
+    }
+    const std::string bin = opts.worker_binary.empty()
+                                ? default_worker_binary()
+                                : opts.worker_binary;
+    if (bin.empty()) {
+      throw std::runtime_error(
+          "RemoteBackend: cannot locate the mflushsim worker binary (set "
+          "MFLUSH_WORKER_BIN or Options::worker_binary)");
+    }
+    const std::filesystem::path scratch =
+        opts.scratch_dir.empty() ? std::filesystem::temp_directory_path()
+                                 : std::filesystem::path(opts.scratch_dir);
+    const std::string session = "mflush-warm-" + std::to_string(::getpid()) +
+                                "-" + std::to_string(g_pool_serial++);
+    std::vector<std::unique_ptr<HostState>> built;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      auto host = std::make_unique<HostState>();
+      host->spec = specs[i];
+      host->spec.index = i;
+      // Warm-snapshot shipping: every host gets a warm store so each
+      // parent crosses to each host at most once.
+      if (!host->spec.is_local()) {
+        host->warm_dir =
+            host->spec.remote_dir + "/warmstore." + std::to_string(i);
+      } else if (opts.warm_store != nullptr) {
+        host->warm_dir = opts.warm_store->dir();
+        host->warm_shared = true;
+      } else {
+        host->warm_dir =
+            (scratch / (session + "-h" + std::to_string(i))).string();
+        host->session_store = true;
+      }
+      if (opts.transport_factory) {
+        host->transport = opts.transport_factory(host->spec);
+      } else if (host->spec.is_local()) {
+        host->transport = std::make_unique<remote::LocalTransport>(bin);
+      } else {
+        host->transport =
+            std::make_unique<remote::SshTransport>(bin, opts.ssh_timeout);
+      }
+      built.push_back(std::move(host));
+    }
+    hosts = std::move(built);
+    live_hosts = hosts.size();
+    for (auto& host : hosts) {
+      total_slots += host->spec.slots;
+      for (unsigned s = 0; s < host->spec.slots; ++s)
+        threads.emplace_back([this, h = host.get()] { slot_loop(*h); });
+    }
+  }
+
+  /// Fair share: the queued tenant with the fewest jobs served so far.
+  [[nodiscard]] Batch pop_locked() {
+    auto best = queues.begin();
+    for (auto it = queues.begin(); it != queues.end(); ++it) {
+      const Tenant& t = *it->first;
+      const Tenant& b = *best->first;
+      if (t.served_ < b.served_ || (t.served_ == b.served_ && t.id_ < b.id_))
+        best = it;
+    }
+    Batch batch = best->second.front();
+    best->second.pop_front();
+    best->first->served_ += batch.end - batch.begin;
+    if (best->second.empty()) queues.erase(best);
+    return batch;
+  }
+
+  void enqueue_locked(const Batch& batch) {
+    queues[&batch.run->tenant].push_back(batch);
+  }
+
+  /// A batch left the pool for good (done, or given up on).
+  void settle_locked(Run& run) {
+    if (--run.pending == 0) done_cv.notify_all();
+  }
+
+  /// End `run` with `error`: its queued batches are dropped; those in
+  /// flight settle when they return.
+  void fail_locked(Run& run, std::exception_ptr error) {
+    if (!run.error) run.error = std::move(error);
+    const auto it = queues.find(&run.tenant);
+    if (it == queues.end()) return;
+    std::deque<Batch>& q = it->second;
+    for (auto b = q.begin(); b != q.end();) {
+      if (b->run != &run) {
+        ++b;
+        continue;
+      }
+      settle_locked(run);
+      b = q.erase(b);
+    }
+    if (q.empty()) queues.erase(it);
+  }
+
+  void slot_loop(HostState& host) {
+    for (;;) {
+      Batch batch;
+      {
+        std::unique_lock lk(m);
+        work_cv.wait(
+            lk, [&] { return stopping || host.dead || !queues.empty(); });
+        if (stopping || host.dead) return;
+        batch = pop_locked();
+      }
+      Run& run = *batch.run;
+
+      ++batch.attempts;
+      std::vector<UploadRecord> uploads;
+      std::exception_ptr error;
+      std::string error_text;
+      try {
+        run_batch_once(host, batch, opts.warm_store, uploads,
+                       run.tenant.executed_);
+      } catch (const std::exception& e) {
+        error = std::current_exception();
+        error_text = e.what();
+      }
+
+      const std::lock_guard lk(m);
+      if (!error) {
+        for (const UploadRecord& u : uploads) {
+          ++run.uploads;
+          run.upload_bytes += u.bytes;
+          event(host.spec.label() + ": uploaded parent " +
+                campaign::key_hex(u.key) + " (" + std::to_string(u.bytes) +
+                " bytes)");
+        }
+        settle_locked(run);
+        continue;
+      }
+
+      ++host.failures;
+      event(host.spec.label() + " failed " + batch.describe() +
+            " (attempt " + std::to_string(batch.attempts) + "/" +
+            std::to_string(opts.max_attempts) + "): " + error_text);
+      if (run.error) {
+        settle_locked(run);  // the run already ended; no retry
+      } else if (batch.attempts >= opts.max_attempts) {
+        fail_locked(run, error);
+        settle_locked(run);
+      } else if (batch.end - batch.begin > 1) {
+        // Poison-job containment: a batch failure says *something* in the
+        // batch (or its host) is bad, not that every job is. Re-queueing
+        // the batch whole would let one crashing job burn the attempt
+        // budget of all its batch-mates; splitting halves the blast radius
+        // each retry until the poison job sits alone in a batch and fails
+        // on its own attempts. The halves are fresh batches with fresh
+        // budgets, so a lineage stays bounded: at most 2N-1 batches of
+        // max_attempts each.
+        Batch left, right;
+        left.run = right.run = &run;
+        left.number = run.next_batch_number++;
+        left.begin = batch.begin;
+        left.end = batch.begin + (batch.end - batch.begin) / 2;
+        right.number = run.next_batch_number++;
+        right.begin = left.end;
+        right.end = batch.end;
+        event(batch.describe() + " split into " + left.describe() + " and " +
+              right.describe() + " to isolate a possible poison job");
+        ++run.pending;  // one batch became two
+        enqueue_locked(left);
+        enqueue_locked(right);
+      } else {
+        enqueue_locked(batch);
+      }
+      // Retire the host after repeated failures so its share of the work
+      // steals onto healthy hosts — but never the last one standing, whose
+      // batches should run out their attempts instead. A retired host
+      // stays out for the pool's lifetime.
+      if (!host.dead && host.failures >= opts.host_max_failures &&
+          live_hosts > 1) {
+        host.dead = true;
+        --live_hosts;
+        event(host.spec.label() + " retired after " +
+              std::to_string(host.failures) +
+              " failures; re-queued work steals onto the remaining " +
+              std::to_string(live_hosts) + " host(s)");
+      }
+      work_cv.notify_all();
+      if (host.dead) return;
+    }
+  }
+};
+
 RemoteBackend::RemoteBackend() : RemoteBackend(Options()) {}
 
-RemoteBackend::RemoteBackend(Options options) : opts_(std::move(options)) {}
+RemoteBackend::RemoteBackend(Options options)
+    : pool_(std::make_unique<Pool>(std::move(options))) {}
+
+RemoteBackend::~RemoteBackend() {
+  {
+    const std::lock_guard lk(pool_->m);
+    pool_->stopping = true;
+  }
+  pool_->work_cv.notify_all();
+  for (std::thread& t : pool_->threads) t.join();
+  std::error_code ec;
+  for (const auto& host : pool_->hosts)
+    if (host->session_store) std::filesystem::remove_all(host->warm_dir, ec);
+}
 
 void RemoteBackend::run(const std::vector<JobSpec>& jobs, ResultSink& sink) {
+  Tenant tenant(*this, "");
+  run_for(tenant, jobs, sink);
+}
+
+void RemoteBackend::Tenant::run(const std::vector<JobSpec>& jobs,
+                                ResultSink& sink) {
+  pool_.run_for(*this, jobs, sink);
+}
+
+void RemoteBackend::cancel(Tenant& tenant) {
+  Pool& p = *pool_;
+  const std::lock_guard lk(p.m);
+  tenant.cancelled_ = true;
+  const auto it = p.queues.find(&tenant);
+  if (it == p.queues.end()) return;
+  const auto cancelled =
+      std::make_exception_ptr(std::runtime_error("campaign cancelled"));
+  for (const Batch& b : it->second) {
+    if (!b.run->error) b.run->error = cancelled;
+    p.settle_locked(*b.run);
+  }
+  p.queues.erase(it);
+}
+
+void RemoteBackend::run_for(Tenant& tenant, const std::vector<JobSpec>& jobs,
+                            ResultSink& sink) {
   if (jobs.empty()) return;
-  if (opts_.max_attempts == 0)
+  Pool& p = *pool_;
+  if (p.opts.max_attempts == 0)
     throw std::runtime_error("RemoteBackend: max_attempts must be >= 1");
 
-  std::vector<HostSpec> hosts = opts_.hosts;
-  if (hosts.empty()) {
-    HostSpec local;
-    local.name = "local";
-    local.slots = ParallelRunner::default_jobs();
-    hosts.push_back(local);
-  }
-  for (std::size_t i = 0; i < hosts.size(); ++i) hosts[i].index = i;
-
-  const std::string bin = opts_.worker_binary.empty()
-                              ? default_worker_binary()
-                              : opts_.worker_binary;
-  if (bin.empty()) {
-    throw std::runtime_error(
-        "RemoteBackend: cannot locate the mflushsim worker binary (set "
-        "MFLUSH_WORKER_BIN or Options::worker_binary)");
-  }
-  const std::filesystem::path scratch =
-      opts_.scratch_dir.empty() ? std::filesystem::temp_directory_path()
-                                : std::filesystem::path(opts_.scratch_dir);
-
-  // Warm-snapshot shipping: when the sweep references warmed parents,
-  // every host gets a warm store so each parent crosses to each host at
-  // most once. Session-scoped local stores (no coordinator store) are
-  // swept on exit.
-  std::vector<std::filesystem::path> session_stores;
-  struct StoreSweep {
-    std::vector<std::filesystem::path>& dirs;
-    ~StoreSweep() {
-      std::error_code ec;
-      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
-    }
-  } sweep{session_stores};
-  const bool has_parents =
+  Run run(tenant, jobs, sink);
+  run.has_parents =
       std::any_of(jobs.begin(), jobs.end(),
                   [](const JobSpec& j) { return j.parent_key != 0; });
-  if (has_parents) {
-    for (HostSpec& h : hosts) {
-      if (!h.is_local()) {
-        h.warm_store_dir =
-            h.remote_dir + "/warmstore." + std::to_string(h.index);
-      } else if (opts_.warm_store != nullptr) {
-        h.warm_store_dir = opts_.warm_store->dir();
-      } else {
-        const auto dir =
-            scratch / ("mflush-warm-" + std::to_string(::getpid()) + "-h" +
-                       std::to_string(h.index));
-        std::filesystem::create_directories(dir);
-        session_stores.push_back(dir);
-        h.warm_store_dir = dir.string();
-      }
-    }
+  std::unique_lock lk(p.m);
+  p.start_locked();
+  if (tenant.cancelled_) throw std::runtime_error("campaign cancelled");
+  if (run.has_parents) {
+    for (const auto& host : p.hosts)
+      if (host->session_store)
+        std::filesystem::create_directories(host->warm_dir);
   }
-
-  std::size_t total_slots = 0;
-  for (const HostSpec& h : hosts) total_slots += h.slots;
   const auto ranges =
-      remote::batch_ranges(jobs.size(), opts_.batch_jobs, total_slots);
-
-  Scheduler sched;
-  Delivered delivered;
-  sched.total = ranges.size();
-  sched.next_batch_number = ranges.size();
-  sched.live_hosts = hosts.size();
-  sched.on_event = opts_.on_event;
+      remote::batch_ranges(jobs.size(), p.opts.batch_jobs, p.total_slots);
   for (std::size_t b = 0; b < ranges.size(); ++b) {
     Batch batch;
+    batch.run = &run;
     batch.number = b;
     batch.begin = ranges[b].first;
     batch.end = ranges[b].second;
-    sched.queue.push_back(batch);
+    p.enqueue_locked(batch);
   }
+  run.pending = ranges.size();
+  run.next_batch_number = ranges.size();
+  p.work_cv.notify_all();
+  p.done_cv.wait(lk, [&] { return run.pending == 0; });
+  lk.unlock();
 
-  std::vector<std::unique_ptr<HostState>> states;
-  states.reserve(hosts.size());
-  for (const HostSpec& h : hosts) {
-    auto state = std::make_unique<HostState>();
-    state->spec = h;
-    state->warm_shared = h.is_local() && opts_.warm_store != nullptr;
-    if (opts_.transport_factory) {
-      state->transport = opts_.transport_factory(h);
-    } else if (h.is_local()) {
-      state->transport = std::make_unique<remote::LocalTransport>(bin);
-    } else {
-      state->transport =
-          std::make_unique<remote::SshTransport>(bin, opts_.ssh_timeout);
-    }
-    states.push_back(std::move(state));
+  if (run.uploads > 0) {
+    p.event("warm store: " + std::to_string(run.uploads) +
+            " parent upload(s), " + std::to_string(run.upload_bytes) +
+            " bytes shipped to the pool");
   }
-
-  std::vector<std::thread> slots;
-  slots.reserve(std::min<std::size_t>(total_slots, ranges.size()));
-  for (auto& state : states) {
-    HostState* const host = state.get();
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(host->spec.slots, ranges.size()));
-    for (unsigned s = 0; s < n; ++s) {
-      slots.emplace_back([&, host] {
-        host_slot_loop(sched, *host, jobs, opts_.max_attempts,
-                       opts_.host_max_failures, opts_.warm_store, delivered,
-                       sink);
-      });
-    }
-  }
-  for (std::thread& t : slots) t.join();
-
-  if (sched.uploads > 0) {
-    sched.event("warm store: " + std::to_string(sched.uploads) +
-                " parent upload(s), " + std::to_string(sched.upload_bytes) +
-                " bytes shipped to the pool");
-  }
-  if (sched.first_error) std::rethrow_exception(sched.first_error);
-  if (sched.done != sched.total) {
-    throw std::runtime_error(
-        "RemoteBackend: sweep ended with unfinished batches");
-  }
+  if (run.error) std::rethrow_exception(run.error);
 }
 
 }  // namespace mflush

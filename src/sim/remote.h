@@ -22,14 +22,21 @@
 /// host, and comes back as one framed result archive (MFLUSRES) per job on
 /// its stdout — amortizing the process-spawn overhead that dominates
 /// one-subprocess-per-job fan-out.
-/// The scheduler work-steals: every host slot pulls the next batch from a
-/// shared queue, a failed or unreachable host's batch is re-queued onto
-/// healthy hosts (bounded attempts per batch), and a host that keeps
-/// failing is retired while at least one other host survives. Results
-/// stream into the ResultSink as each job lands; the backend contract —
-/// full-SimMetrics bit-identity with SerialBackend — holds because every
-/// job still executes through run_job and doubles cross the wire as raw
-/// bytes.
+/// It is the project's one scheduler. The backend owns its hosts and one
+/// thread per host slot for its whole lifetime (started by the first
+/// run(), never by the constructor). Batches queue per tenant: a plain
+/// run() is one tenant and runs FIFO, while mflushd gives every campaign
+/// a RemoteBackend::Tenant and each idle slot serves the tenant with the
+/// fewest jobs served so far. Every slot pulls from those queues, so work
+/// steals: a failed or unreachable host's batch is re-queued onto healthy
+/// hosts (bounded attempts per batch, a failing multi-job batch split in
+/// halves to isolate a poison job), and a host that keeps failing is
+/// retired for the pool's lifetime while at least one other host
+/// survives. Results stream into the run's ResultSink as each job lands,
+/// through a per-run claim set, so retries never push a job twice; the
+/// backend contract — full-SimMetrics bit-identity with SerialBackend —
+/// holds because every job still executes through run_job and doubles
+/// cross the wire as raw bytes.
 namespace mflush {
 namespace remote {
 
@@ -184,7 +191,7 @@ class RemoteBackend final : public ExperimentBackend {
     std::string worker_binary;
     /// Where session-scoped warm stores live (local hosts in a sweep with
     /// warmed parents and no coordinator warm_store); empty = system temp
-    /// dir. They are removed when run() returns.
+    /// dir. They are removed when the backend is destroyed.
     std::string scratch_dir;
     /// Jobs per batch; 0 = auto (see remote::batch_ranges).
     std::size_t batch_jobs = 0;
@@ -217,14 +224,58 @@ class RemoteBackend final : public ExperimentBackend {
     WarmStore* warm_store = nullptr;
   };
 
+  /// One tenant of a shared pool (mflushd runs one per campaign). Its runs
+  /// queue next to every other tenant's, and each idle host slot takes the
+  /// next batch of the tenant with the fewest jobs served so far (ties go
+  /// to the smaller id), so a late 4-job sweep is not starved behind an
+  /// early 400-job one. The tenant must not outlive its pool.
+  class Tenant final : public ExperimentBackend {
+   public:
+    Tenant(RemoteBackend& pool, std::string id)
+        : pool_(pool), id_(std::move(id)) {}
+
+    [[nodiscard]] std::string name() const override { return "remote"; }
+    void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
+
+    [[nodiscard]] const std::string& id() const noexcept { return id_; }
+    /// Measured (not warm) jobs whose results this tenant's runs delivered.
+    [[nodiscard]] std::uint64_t executed() const noexcept {
+      return executed_.load();
+    }
+
+   private:
+    friend class RemoteBackend;
+    RemoteBackend& pool_;
+    const std::string id_;
+    std::atomic<std::uint64_t> executed_{0};
+    std::uint64_t served_ = 0;  ///< jobs dispatched; pool mutex
+    bool cancelled_ = false;    ///< pool mutex
+  };
+
+  /// Builds nothing yet: hosts, transports and one thread per host slot
+  /// come up on the first run() and live until the backend is destroyed.
   RemoteBackend();  ///< default Options
   explicit RemoteBackend(Options options);
+  RemoteBackend(const RemoteBackend&) = delete;
+  RemoteBackend& operator=(const RemoteBackend&) = delete;
+  /// Stops the slot threads and removes session warm stores. No run() may
+  /// be in progress.
+  ~RemoteBackend() override;
 
   [[nodiscard]] std::string name() const override { return "remote"; }
+  /// One anonymous tenant: its batches run in FIFO order.
   void run(const std::vector<JobSpec>& jobs, ResultSink& sink) override;
 
+  /// Fail `tenant`'s queued batches and every later run of it with
+  /// "campaign cancelled"; batches already on a host finish first.
+  void cancel(Tenant& tenant);
+
  private:
-  Options opts_;
+  struct Pool;
+  void run_for(Tenant& tenant, const std::vector<JobSpec>& jobs,
+               ResultSink& sink);
+
+  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace mflush

@@ -10,14 +10,15 @@
 ///     --warmup N              warm-up cycles             (default 30000)
 ///     --seed N                simulation seed            (default 1)
 ///     --jobs N                parallel width: pool threads (inprocess) or
-///                             worker processes (worker backend)
+///                             worker processes (remote or --serve with no
+///                             host pool: one `local slots=N` host)
 ///     --spec FILE             run an experiment spec file (text or binary)
 ///                             instead of describing the sweep with flags
 ///     --emit-spec FILE        write the flag-described sweep as a text
 ///                             spec file ("-" = stdout) and exit
-///     --backend NAME          serial | inprocess (default) | worker |
-///                             remote (batched distributed sweep over a
-///                             host pool; see --hosts)
+///     --backend NAME          serial | inprocess (default) | remote
+///                             (batched distributed sweep over a host pool;
+///                             see --hosts)
 ///     --campaign DIR          run the sweep durably: DIR holds the spec,
 ///                             a write-ahead journal of job state, and a
 ///                             content-addressed result cache, so a
@@ -52,7 +53,8 @@
 ///                             nothing: on restart every journaled campaign
 ///                             resumes its delta. Requires --data; --hosts
 ///                             and --jobs shape the pool as for --backend
-///                             remote (no hosts: in-process slots)
+///                             remote (no hosts: --jobs N is one
+///                             `local slots=N` host)
 ///     --data DIR              mflushd state root: DIR/campaigns/<id>/,
 ///                             DIR/cache (shared result cache), DIR/warm
 ///     --connect ADDR          client mode: talk to the mflushd at ADDR;
@@ -70,14 +72,13 @@
 ///     --shutdown              drain running campaigns, then stop the daemon
 ///     --worker -              worker mode: read a job archive on stdin,
 ///                             write each job's framed result archive to
-///                             stdout as it finishes, exit (the
-///                             worker/remote backend subprocess entry
-///                             point)
+///                             stdout as it finishes, exit (the remote
+///                             backend subprocess entry point)
 ///     --worker-store DIR      host-side warm store for --worker: embedded
 ///                             parent snapshots are installed here and
 ///                             by-hash forks resolve from here (set by
 ///                             RemoteBackend, rarely by hand)
-///     --worker-bin PATH       worker binary for --backend worker/remote
+///     --worker-bin PATH       worker binary for --backend remote/--serve
 ///                             (default: this executable)
 ///     --list-workloads        print the Fig. 1 workload catalog and exit
 ///     --list-policies         print the policy registry and exit
@@ -126,7 +127,7 @@ void usage(const char* argv0) {
       << " [--workload NAMES|CODES] [--policy SPEC[,SPEC...]] [--cycles N]\n"
          "       [--warmup N] [--seed N] [--jobs N] [--spec FILE]\n"
          "       [--emit-spec FILE|-]\n"
-         "       [--backend serial|inprocess|worker|remote] [--hosts FILE]\n"
+         "       [--backend serial|inprocess|remote] [--hosts FILE]\n"
          "       [--campaign DIR [--resume]] [--warm-store DIR]\n"
          "       [--serve ADDR --data DIR [--hosts FILE] [--jobs N]]\n"
          "       [--connect ADDR (--submit SPEC [--follow] | --status ID |\n"
@@ -138,7 +139,8 @@ void usage(const char* argv0) {
          "       [--no-event-skip] [--csv] [--debug]\n\n"
          "see --list-workloads / --list-policies for what can go in a\n"
          "sweep or spec file. --backend remote fans batches of jobs over\n"
-         "the --hosts pool (or $MFLUSH_HOSTS; default one local host):\n"
+         "the --hosts pool (or $MFLUSH_HOSTS; else one local host with\n"
+         "--jobs slots):\n"
          "`name [slots=N] [fail=N] [dir=PATH]` per entry, where `local`\n"
          "runs loopback subprocesses and any other name is an ssh\n"
          "destination (worker binary shipped once per host). Failed\n"
@@ -150,9 +152,20 @@ void usage(const char* argv0) {
          "DIR reuses sampled-mode warm-up state across runs and specs by\n"
          "content hash (campaigns default to DIR/warm). --serve ADDR runs\n"
          "mflushd, a coordinator that multiplexes submitted specs onto one\n"
-         "shared pool as durable campaigns under --data DIR; --connect\n"
+         "shared pool (--hosts FILE, else one local host with --jobs\n"
+         "slots) as durable campaigns under --data DIR; --connect\n"
          "ADDR with --submit/--status/--cancel/--list/--shutdown talks to\n"
          "it.\n";
+}
+
+/// No pool described and --jobs N given: one loopback host with N slots
+/// (N concurrent workers). An empty pool means RemoteBackend's default.
+void add_local_slots(std::vector<remote::HostSpec>& hosts, unsigned jobs) {
+  if (!hosts.empty() || jobs == 0) return;
+  remote::HostSpec local;
+  local.name = "local";
+  local.slots = jobs;
+  hosts.push_back(local);
 }
 
 void print_results(const std::vector<RunResult>& results, bool csv) {
@@ -347,7 +360,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Worker mode: the WorkerBackend subprocess entry point. Everything the
+  // Worker mode: the RemoteBackend subprocess entry point. Everything the
   // run needs is inside the job archive on stdin; stdout carries only the
   // framed results.
   if (worker_mode)
@@ -364,8 +377,8 @@ int main(int argc, char** argv) {
       o.address = serve_addr;
       o.data_dir = data_dir;
       o.worker_binary = worker_bin;
-      o.slots = jobs;
       if (!hosts_file.empty()) o.hosts = remote::read_hosts_file(hosts_file);
+      add_local_slots(o.hosts, jobs);
       o.on_event = report::event_printer(std::cerr, "mflushd: ");
       return daemon::serve(std::move(o));
     } catch (const std::exception& e) {
@@ -591,33 +604,20 @@ int main(int argc, char** argv) {
       } else {
         backend = std::make_unique<InProcessBackend>();
       }
-    } else if (backend_arg == "worker") {
-      WorkerBackend::Options opts;
-      opts.worker_binary = worker_bin;
-      opts.max_processes = jobs;
-      opts.warm_store = ropts.warm_store;
-      // Narrate retries to stderr: a transient worker crash must leave a
-      // trace even though the sweep survives it.
-      opts.on_event = report::event_printer(std::cerr);
-      backend = std::make_unique<WorkerBackend>(std::move(opts));
     } else if (backend_arg == "remote") {
       RemoteBackend::Options opts;
       opts.worker_binary = worker_bin;
       opts.hosts = !hosts_file.empty() ? remote::read_hosts_file(hosts_file)
                                        : remote::hosts_from_env();
-      if (opts.hosts.empty() && jobs != 0) {
-        // No pool described: loopback fan-out, --jobs concurrent workers.
-        remote::HostSpec local;
-        local.name = "local";
-        local.slots = jobs;
-        opts.hosts.push_back(local);
-      }
+      add_local_slots(opts.hosts, jobs);
+      // Narrate retries to stderr: a transient worker crash must leave a
+      // trace even though the sweep survives it.
       opts.on_event = report::event_printer(std::cerr);
       opts.warm_store = ropts.warm_store;
       backend = std::make_unique<RemoteBackend>(std::move(opts));
     } else {
       std::cerr << "unknown backend: " << backend_arg
-                << " (serial, inprocess, worker, remote)\n";
+                << " (serial, inprocess, remote)\n";
       return 2;
     }
 

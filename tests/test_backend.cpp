@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -10,11 +15,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/factory.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
+#include "sim/remote.h"
 #include "sim/snapshot.h"
 #include "sim/workloads.h"
 #include "trace/spec2000.h"
@@ -237,7 +244,7 @@ void expect_identical_runs(const std::vector<RunResult>& a,
 
 TEST(Backend, CrossBackendDeterminism) {
   // The redesign's core guarantee: serial loop == SerialBackend ==
-  // InProcessBackend == WorkerBackend over a workload x policy grid,
+  // InProcessBackend == loopback RemoteBackend over a workload x policy grid,
   // full SimMetrics equality.
   ExperimentSpec spec;
   spec.name = "xbackend";
@@ -263,7 +270,7 @@ TEST(Backend, CrossBackendDeterminism) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  WorkerBackend worker;
+  RemoteBackend worker;  // one local host, default_jobs() slots
   expect_identical_runs(reference, worker.run_collect(jobs));
 }
 
@@ -302,11 +309,11 @@ TEST(Backend, CrossBackendDeterminismUnderDramModel) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
-  WorkerBackend worker;
+  RemoteBackend worker;  // one local host, default_jobs() slots
   expect_identical_runs(reference, worker.run_collect(jobs));
 }
 
-TEST(Backend, WorkerBackendRunsProfileAndForkJobs) {
+TEST(Backend, LoopbackRemoteRunsProfileAndForkJobs) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim binary not found next to the test binary";
   }
@@ -331,7 +338,7 @@ TEST(Backend, WorkerBackendRunsProfileAndForkJobs) {
       snapshot::capture(donor));
 
   SerialBackend serial;
-  WorkerBackend worker;
+  RemoteBackend worker;  // one local host, default_jobs() slots
   expect_identical_runs(serial.run_collect({custom, fork}),
                         worker.run_collect({custom, fork}));
 }
@@ -444,12 +451,12 @@ class FakeWorkerTest : public ::testing::Test {
     return n;
   }
 
-  [[nodiscard]] WorkerBackend::Options script_options(
+  [[nodiscard]] RemoteBackend::Options script_options(
       const std::string& script) const {
-    WorkerBackend::Options o;
+    RemoteBackend::Options o;
+    o.hosts = {remote::parse_host("local slots=1")};
     o.worker_binary = script;
     o.scratch_dir = dir_.string();
-    o.max_processes = 1;
     o.batch_jobs = 1;
     o.max_attempts = 2;
     return o;
@@ -464,9 +471,9 @@ class FakeWorkerTest : public ::testing::Test {
     return spec.expand();
   }
 
-  void expect_failure_containing(WorkerBackend::Options opts,
+  void expect_failure_containing(RemoteBackend::Options opts,
                                  const std::vector<std::string>& needles) {
-    WorkerBackend backend(std::move(opts));
+    RemoteBackend backend(std::move(opts));
     try {
       (void)backend.run_collect(tiny_jobs());
       FAIL() << "expected the sweep to fail";
@@ -521,7 +528,7 @@ TEST_F(FakeWorkerTest, RetriesAreBoundedPerBatchWithSplitting) {
   const std::string count = (dir_ / "invocations").string();
   const std::string script =
       write_script("echo x >> \"" + count + "\"\nexit 9\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
   expect_failure_containing(std::move(opts), {"code 9"});
@@ -547,10 +554,10 @@ TEST_F(FakeWorkerTest, PoisonJobOnlySinksItsOwnBatchMates) {
       "echo x >> \"" + count + "\"\n"
       "if [ \"$(wc -l < \"" + count + "\")\" -eq 2 ]; then exec \"" + real +
       "\" \"$@\"; fi\nexit 9\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.batch_jobs = 2;
   opts.max_attempts = 2;
-  WorkerBackend backend(std::move(opts));
+  RemoteBackend backend(std::move(opts));
   const std::vector<JobSpec> jobs = tiny_jobs();
 
   ResultSink sink;
@@ -581,9 +588,9 @@ TEST_F(FakeWorkerTest, TransientFailureRetriesThenSucceeds) {
   const std::string script = write_script(
       "if [ ! -e \"" + marker + "\" ]; then : > \"" + marker +
       "\"; exit 7; fi\nexec \"" + real + "\" \"$@\"\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.max_attempts = 3;
-  WorkerBackend backend(std::move(opts));
+  RemoteBackend backend(std::move(opts));
   const std::vector<JobSpec> jobs = tiny_jobs();
 
   SerialBackend serial;
@@ -612,13 +619,13 @@ TEST_F(FakeWorkerTest, ResultsStreamBeforeTheBatchEnds) {
       "while [ ! -e \"" + marker.string() + "\" ]; do\n"
       "  i=$((i+1)); [ $i -gt 200 ] && exit 5; sleep 0.05\n"
       "done\nexit 0\n");
-  WorkerBackend::Options opts = script_options(script);
+  RemoteBackend::Options opts = script_options(script);
   opts.max_attempts = 1;
 
   ResultSink sink([&](const JobSpec&, const RunResult&) {
     std::ofstream(marker).put('x');
   });
-  WorkerBackend(std::move(opts)).run(jobs, sink);
+  RemoteBackend(std::move(opts)).run(jobs, sink);
   EXPECT_TRUE(sink.at(0).metrics == expected.metrics);
 }
 
@@ -627,21 +634,48 @@ TEST_F(FakeWorkerTest, ResultsStreamBeforeTheBatchEnds) {
 TEST(SpawnAndWait, DeadlineKillsAWedgedChild) {
   // A child that would outlive the deadline is SIGKILLed, reaped, and
   // reported as a timeout naming the work — the mechanism that turns a
-  // wedged ssh into an ordinary host failure instead of a hung sweep.
+  // wedged ssh into an ordinary host failure instead of a hung sweep. The
+  // kill reaches the child's whole process group: the shell's `sleep`
+  // grandchild must die with it, or it would hold the output pipe open
+  // for the full 30 s.
+  const fs::path pid_file =
+      fs::path(::testing::TempDir()) / "spawn-deadline-grandchild.pid";
+  fs::remove(pid_file);
+  // Orphans re-parent to this process, which then reaps the grandchild.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const std::string script =
+      "sleep 30 & echo $! > '" + pid_file.string() + "'; wait";
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    (void)proc::spawn_and_wait("/bin/sh", {"-c", "sleep 30"},
-                               "a wedged link", /*timeout_s=*/1);
+    (void)proc::spawn_and_wait("/bin/sh", {"-c", script}, "a wedged link",
+                               /*timeout_s=*/1);
     FAIL() << "expected a timeout";
   } catch (const std::exception& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("timed out"), std::string::npos) << what;
     EXPECT_NE(what.find("a wedged link"), std::string::npos) << what;
   }
+  pid_t grandchild = 0;
+  std::ifstream(pid_file) >> grandchild;
+  fs::remove(pid_file);
+  ASSERT_GT(grandchild, 0) << "the shell never started its grandchild";
+  // Reap the grandchild once it is dead; give up after ~3 s.
+  for (int i = 0; i < 300; ++i) {
+    if (::waitpid(grandchild, nullptr, WNOHANG) == grandchild) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  errno = 0;
+  EXPECT_EQ(::kill(grandchild, 0), -1) << "grandchild outlived the deadline";
+  EXPECT_EQ(errno, ESRCH);
+  if (errno != ESRCH) {
+    ::kill(grandchild, SIGKILL);
+    (void)::waitpid(grandchild, nullptr, 0);
+  }
+  (void)::prctl(PR_SET_CHILD_SUBREAPER, 0);
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  EXPECT_LT(waited, 10.0) << "deadline did not cut the 30s sleep short";
+  EXPECT_LT(waited, 5.0) << "deadline did not cut the 30s sleep short";
 }
 
 TEST(SpawnAndWait, FastChildrenFinishUnderADeadline) {

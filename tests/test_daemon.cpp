@@ -249,7 +249,9 @@ std::vector<RunResult> serial_run(const ExperimentSpec& spec) {
   return run_experiment(spec, backend, sink);
 }
 
-/// One in-process daemon over a unix socket in a per-test temp dir.
+/// One in-process daemon over a unix socket in a per-test temp dir, its
+/// jobs running in `mflushsim --worker -` subprocesses on a two-slot
+/// loopback host.
 class DaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -260,6 +262,9 @@ class DaemonTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     address_ = "unix:" + (dir_ / "d.sock").string();
+    if (default_worker_binary().empty()) {
+      GTEST_SKIP() << "mflushsim binary not found next to the test binary";
+    }
   }
   void TearDown() override {
     if (server_.joinable()) shutdown_daemon();
@@ -272,7 +277,7 @@ class DaemonTest : public ::testing::Test {
     daemon::ServeOptions o;
     o.address = address_;
     o.data_dir = (dir_ / "data").string();
-    o.slots = 2;
+    o.hosts = {remote::parse_host("local slots=2")};
     o.on_ready = [&ready] { ready.set_value(); };
     server_ = std::thread([o = std::move(o)]() mutable {
       (void)daemon::serve(std::move(o));

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -277,19 +279,21 @@ class BrokenTransport final : public remote::Transport {
 /// its batches before healthy slots can drain the queue.
 class GatedInProcessTransport final : public remote::Transport {
  public:
-  explicit GatedInProcessTransport(BrokenRendezvous& rendezvous)
-      : rendezvous_(rendezvous) {}
+  explicit GatedInProcessTransport(BrokenRendezvous& rendezvous,
+                                   int broken_events = 2)
+      : rendezvous_(rendezvous), broken_events_(broken_events) {}
   [[nodiscard]] std::string name() const override { return "test-gated"; }
   void prepare(const remote::HostSpec&) override {}
   void run_batch(const remote::HostSpec&,
                  std::span<const std::uint8_t> job_bytes,
                  const OnResult& on_result, const std::string&) override {
-    rendezvous_.await(2);
+    rendezvous_.await(broken_events_);
     run_batch_in_process(job_bytes, on_result);
   }
 
  private:
   BrokenRendezvous& rendezvous_;
+  int broken_events_;
 };
 
 std::vector<JobSpec> small_grid_jobs() {
@@ -479,6 +483,330 @@ TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
   EXPECT_TRUE(fs::is_empty(scratch)) << "failure left files behind";
 
   fs::remove_all(scratch);
+}
+
+// ------------------------------------------------ tenants of one pool
+//
+// mflushd runs every campaign as a RemoteBackend::Tenant of one pool. A
+// batch's `what` names its tenant ("campaign A batch 3 (job 3)"), which is
+// how the transports below tell the tenants apart.
+
+/// `n` one-point jobs with dense ids 0..n-1 (seeds 1..n).
+std::vector<JobSpec> seed_jobs(std::uint32_t n) {
+  ExperimentSpec spec;
+  spec.name = "tenant-jobs";
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount()};
+  spec.seeds.clear();
+  for (std::uint32_t s = 1; s <= n; ++s) spec.seeds.push_back(s);
+  spec.warmup = 100;
+  spec.measure = 300;
+  return spec.expand();
+}
+
+/// A gate that stays shut until opened (with a starvation backstop).
+struct Latch {
+  std::mutex m;
+  std::condition_variable cv;
+  bool open = false;
+
+  void release() {
+    const std::lock_guard lk(m);
+    open = true;
+    cv.notify_all();
+  }
+  void wait() {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, std::chrono::seconds(10), [&] { return open; });
+  }
+};
+
+/// Records every batch's `what` in dispatch order and holds the first
+/// batch until `latch` opens, so a test can queue more work behind it.
+struct DispatchLog {
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<std::string> whats;
+  Latch latch;
+
+  [[nodiscard]] std::size_t count(const std::string& needle) {
+    const std::lock_guard lk(m);
+    std::size_t n = 0;
+    for (const std::string& w : whats)
+      if (w.find(needle) != std::string::npos) ++n;
+    return n;
+  }
+  /// Block until `n` batches have been dispatched.
+  void await(std::size_t n) {
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, std::chrono::seconds(10),
+                      [&] { return whats.size() >= n; });
+  }
+};
+
+class LoggingTransport final : public remote::Transport {
+ public:
+  explicit LoggingTransport(DispatchLog& log) : log_(log) {}
+  [[nodiscard]] std::string name() const override { return "test-logging"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec&,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override {
+    bool first = false;
+    {
+      const std::lock_guard lk(log_.m);
+      first = log_.whats.empty();
+      log_.whats.push_back(what);
+      log_.cv.notify_all();
+    }
+    if (first) log_.latch.wait();
+    run_batch_in_process(job_bytes, on_result);
+  }
+
+ private:
+  DispatchLog& log_;
+};
+
+RemoteBackend::Options one_slot_logging_pool(DispatchLog& log) {
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec solo;
+  solo.name = "solo";
+  opts.hosts = {solo};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [&log](const remote::HostSpec&) {
+    return std::make_unique<LoggingTransport>(log);
+  };
+  return opts;
+}
+
+TEST(RemoteTenants, LateSmallTenantIsServedBeforeTheLargeOneDrains) {
+  DispatchLog log;
+  RemoteBackend backend(one_slot_logging_pool(log));
+  RemoteBackend::Tenant large(backend, "A");
+  RemoteBackend::Tenant small(backend, "B");
+  const std::vector<JobSpec> jobs_a = seed_jobs(40);
+  const std::vector<JobSpec> jobs_b = seed_jobs(4);
+
+  ResultSink sink_a, sink_b;
+  std::thread ta([&] { large.run(jobs_a, sink_a); });
+  log.await(1);  // A's first batch holds the only slot; 39 stay queued
+  std::thread tb([&] { small.run(jobs_b, sink_b); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  log.latch.release();
+  tb.join();
+  ta.join();
+
+  // Fewest-served-first: B's four batches interleave with A's next few
+  // (A, B, A, B, ...: ties go to the smaller id) instead of waiting
+  // behind A's 39 queued ones.
+  std::size_t a_before_last_b = 0;
+  for (std::size_t i = 0, a_seen = 0; i < log.whats.size(); ++i) {
+    if (log.whats[i].find("campaign A ") != std::string::npos) ++a_seen;
+    if (log.whats[i].find("campaign B ") != std::string::npos)
+      a_before_last_b = a_seen;
+  }
+  EXPECT_EQ(a_before_last_b, 4u);
+  EXPECT_EQ(log.count("campaign A "), 40u);
+  EXPECT_EQ(log.count("campaign B "), 4u);
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs_a), sink_a.collect());
+  expect_identical_runs(serial.run_collect(jobs_b), sink_b.collect());
+}
+
+TEST(RemoteTenants, ConcurrentTenantsWithCollidingJobIdsMatchSerial) {
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec a, b;
+  a.name = "node-a";
+  a.slots = 2;
+  b.name = "node-b";
+  b.slots = 2;
+  opts.hosts = {a, b};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [](const remote::HostSpec&) {
+    return std::make_unique<InProcessTransport>();
+  };
+  RemoteBackend backend(opts);
+  RemoteBackend::Tenant first(backend, "first");
+  RemoteBackend::Tenant second(backend, "second");
+  // Both vectors number their jobs 0..n-1: the claim set that keeps
+  // retries idempotent is per run, so job 0 of one never masks job 0 of
+  // the other.
+  const std::vector<JobSpec> jobs_1 = small_grid_jobs();
+  const std::vector<JobSpec> jobs_2 = seed_jobs(6);
+  std::vector<RunResult> got_1, got_2;
+  std::thread t1([&] { got_1 = first.run_collect(jobs_1); });
+  std::thread t2([&] { got_2 = second.run_collect(jobs_2); });
+  t1.join();
+  t2.join();
+
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs_1), got_1);
+  expect_identical_runs(serial.run_collect(jobs_2), got_2);
+  EXPECT_EQ(first.executed(), jobs_1.size());
+  EXPECT_EQ(second.executed(), jobs_2.size());
+}
+
+/// Fails every batch of tenant A (counting on the rendezvous) and runs
+/// everyone else's.
+class FailsTenantATransport final : public remote::Transport {
+ public:
+  explicit FailsTenantATransport(BrokenRendezvous& rendezvous)
+      : rendezvous_(rendezvous) {}
+  [[nodiscard]] std::string name() const override { return "test-fails-a"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override {
+    if (what.find("campaign A ") != std::string::npos) {
+      rendezvous_.bump();
+      throw remote::TransportError(host.label() + ": lost contact during " +
+                                   what);
+    }
+    run_batch_in_process(job_bytes, on_result);
+  }
+
+ private:
+  BrokenRendezvous& rendezvous_;
+};
+
+TEST(RemoteTenants, FailedBatchOfOneTenantRequeuesWhileTheOtherProceeds) {
+  BrokenRendezvous rendezvous;
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec healthy, flaky;
+  healthy.name = "healthy";
+  flaky.name = "flaky";
+  opts.hosts = {healthy, flaky};
+  opts.batch_jobs = 1;
+  // Defaults: the flaky host retires after its second failure, so no
+  // batch can fail all three of its attempts there.
+  opts.transport_factory = [&](const remote::HostSpec& host)
+      -> std::unique_ptr<remote::Transport> {
+    if (host.name == "flaky")
+      return std::make_unique<FailsTenantATransport>(rendezvous);
+    // The healthy host waits for one failure, so the flaky one is sure to
+    // have pulled a batch of A first.
+    return std::make_unique<GatedInProcessTransport>(rendezvous, 1);
+  };
+  std::vector<std::string> events;
+  std::mutex events_mutex;
+  opts.on_event = [&](const std::string& line) {
+    const std::lock_guard lk(events_mutex);
+    events.push_back(line);
+  };
+  RemoteBackend backend(opts);
+  RemoteBackend::Tenant a(backend, "A");
+  RemoteBackend::Tenant b(backend, "B");
+  const std::vector<JobSpec> jobs_a = seed_jobs(6);
+  const std::vector<JobSpec> jobs_b = small_grid_jobs();
+  std::vector<RunResult> got_a, got_b;
+  std::thread ta([&] { got_a = a.run_collect(jobs_a); });
+  std::thread tb([&] { got_b = b.run_collect(jobs_b); });
+  ta.join();
+  tb.join();
+
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs_a), got_a);
+  expect_identical_runs(serial.run_collect(jobs_b), got_b);
+  std::size_t a_failures = 0;
+  for (const std::string& e : events) {
+    EXPECT_EQ(e.find("failed campaign B "), std::string::npos) << e;
+    if (e.find("flaky#1 failed campaign A ") != std::string::npos)
+      ++a_failures;
+  }
+  EXPECT_GE(a_failures, 1u);
+}
+
+TEST(RemoteTenants, CancelFailsOnlyThatTenant) {
+  DispatchLog log;
+  RemoteBackend backend(one_slot_logging_pool(log));
+  RemoteBackend::Tenant a(backend, "A");
+  RemoteBackend::Tenant b(backend, "B");
+  const std::vector<JobSpec> jobs_a = seed_jobs(12);
+  const std::vector<JobSpec> jobs_b = seed_jobs(4);
+
+  std::string a_error;
+  std::thread ta([&] {
+    try {
+      (void)a.run_collect(jobs_a);
+    } catch (const std::exception& e) {
+      a_error = e.what();
+    }
+  });
+  log.await(1);  // A's first batch holds the only slot
+  std::vector<RunResult> got_b;
+  std::thread tb([&] { got_b = b.run_collect(jobs_b); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  backend.cancel(a);
+  log.latch.release();
+  ta.join();
+  tb.join();
+
+  EXPECT_NE(a_error.find("campaign cancelled"), std::string::npos)
+      << "A's run ended with: '" << a_error << "'";
+  EXPECT_LT(log.count("campaign A "), jobs_a.size());
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs_b), got_b);
+  // The cancellation sticks: a later run of A fails without dispatching.
+  EXPECT_THROW((void)a.run_collect(jobs_a), std::runtime_error);
+}
+
+/// In-process transport that counts prepare() calls.
+class CountingTransport final : public remote::Transport {
+ public:
+  explicit CountingTransport(std::atomic<int>& prepares)
+      : prepares_(prepares) {}
+  [[nodiscard]] std::string name() const override { return "test-counting"; }
+  void prepare(const remote::HostSpec&) override { ++prepares_; }
+  void run_batch(const remote::HostSpec&,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string&) override {
+    run_batch_in_process(job_bytes, on_result);
+  }
+
+ private:
+  std::atomic<int>& prepares_;
+};
+
+TEST(RemoteTenants, HostStateOutlivesARun) {
+  // A sampled sweep whose forks carry their warmed parents, run twice
+  // through one backend: the host is prepared once, and each parent
+  // crosses to it once over both runs. One slot keeps the count exact.
+  ExperimentSpec spec;
+  spec.workloads = {*workloads::by_name("2W1")};
+  spec.policies = {PolicySpec::icount(), PolicySpec::mflush()};
+  spec.warmup = 600;
+  spec.measure = 400;
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 3;
+  spec.sampled.fork_stride = 200;
+  std::vector<JobSpec> jobs = spec.expand();
+  SerialBackend serial;
+  resolve_parent_snapshots(jobs, serial);
+  const std::vector<RunResult> expected = serial.run_collect(jobs);
+
+  std::atomic<int> prepares{0};
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec solo;
+  solo.name = "node";
+  opts.hosts = {solo};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [&](const remote::HostSpec&) {
+    return std::make_unique<CountingTransport>(prepares);
+  };
+  std::size_t uploads = 0;
+  opts.on_event = [&](const std::string& line) {
+    if (line.find(": uploaded parent ") != std::string::npos) ++uploads;
+  };
+  RemoteBackend backend(opts);
+  expect_identical_runs(expected, backend.run_collect(jobs));
+  EXPECT_EQ(uploads, 2u);  // two parents
+  expect_identical_runs(expected, backend.run_collect(jobs));
+  EXPECT_EQ(uploads, 2u) << "the second run re-uploaded a parent";
+  EXPECT_EQ(prepares.load(), 1);
 }
 
 // ------------------------------------------- end-to-end with the binary

@@ -16,6 +16,7 @@
 #include "sim/campaign.h"
 #include "sim/cmp.h"
 #include "sim/experiment.h"
+#include "sim/remote.h"
 #include "sim/snapshot.h"
 #include "sim/warmstore.h"
 #include "sim/workloads.h"
@@ -363,7 +364,7 @@ TEST_F(WarmStoreTest, ColdAndHotStoreRunsMatchSerial) {
   EXPECT_EQ(hot.stats().stored, 0u);
 }
 
-TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
+TEST_F(WarmStoreTest, LoopbackRemoteWarmsInSubprocessesAndShipsByHash) {
   if (default_worker_binary().empty()) {
     GTEST_SKIP() << "mflushsim worker binary not found";
   }
@@ -388,10 +389,10 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
   // (payloads return over the result protocol), forks then ship by hash
   // into the shared host-side store.
   WarmStore store(dir_.string());
-  WorkerBackend::Options wo;
-  wo.max_processes = 2;
+  RemoteBackend::Options wo;
+  wo.hosts = {remote::parse_host("local slots=2")};
   wo.warm_store = &store;
-  WorkerBackend worker(std::move(wo));
+  RemoteBackend worker(std::move(wo));
   std::vector<std::string> events;
   RunOptions rw;
   rw.warm_store = &store;
@@ -420,10 +421,10 @@ TEST_F(WarmStoreTest, WorkerBackendWarmsInSubprocessesAndShipsByHash) {
 
   // Hot rerun on a fresh instance: every parent is reused from disk.
   WarmStore hot(dir_.string());
-  WorkerBackend::Options wo2;
-  wo2.max_processes = 2;
+  RemoteBackend::Options wo2;
+  wo2.hosts = {remote::parse_host("local slots=2")};
   wo2.warm_store = &hot;
-  WorkerBackend worker2(std::move(wo2));
+  RemoteBackend worker2(std::move(wo2));
   std::vector<std::string> hot_events;
   RunOptions rh;
   rh.warm_store = &hot;
