@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -326,6 +327,8 @@ struct Run {
   std::size_t upload_bytes = 0;       ///< their total snapshot byte size
 };
 
+struct HostState;
+
 /// A [begin, end) slice of its run's job vector: no JobSpec copies wait
 /// in the queue, which matters when thousands of sampled-mode jobs each
 /// embed a warmed snapshot.
@@ -335,6 +338,9 @@ struct Batch {
   std::size_t begin = 0;
   std::size_t end = 0;
   unsigned attempts = 0;
+  /// Host of the last failed attempt of this batch or of the batch it was
+  /// split from; null while the lineage has never failed.
+  const HostState* failed_on = nullptr;
 
   [[nodiscard]] std::string describe() const {
     const std::vector<JobSpec>& all = run->jobs;
@@ -559,17 +565,37 @@ struct RemoteBackend::Pool {
     }
   }
 
-  /// Fair share: the queued tenant with the fewest jobs served so far.
-  [[nodiscard]] Batch pop_locked() {
-    auto best = queues.begin();
+  /// A batch never goes back to the host it last failed on while another
+  /// host is live, so a second failure always names a second host: a bad
+  /// host shows as failures of different batches, a bad job as one batch
+  /// failing everywhere.
+  [[nodiscard]] bool may_take(const HostState& host, const Batch& b) const {
+    return b.failed_on != &host || live_hosts == 1;
+  }
+
+  /// Fair share: the first batch `host` may take from the queued tenant
+  /// with the fewest jobs served so far.
+  [[nodiscard]] std::optional<Batch> pop_locked(const HostState& host) {
+    auto best = queues.end();
+    std::deque<Batch>::iterator pick;
     for (auto it = queues.begin(); it != queues.end(); ++it) {
       const Tenant& t = *it->first;
-      const Tenant& b = *best->first;
-      if (t.served_ < b.served_ || (t.served_ == b.served_ && t.id_ < b.id_))
-        best = it;
+      if (best != queues.end()) {
+        const Tenant& b = *best->first;
+        if (!(t.served_ < b.served_ ||
+              (t.served_ == b.served_ && t.id_ < b.id_)))
+          continue;
+      }
+      const auto q =
+          std::find_if(it->second.begin(), it->second.end(),
+                       [&](const Batch& b) { return may_take(host, b); });
+      if (q == it->second.end()) continue;
+      best = it;
+      pick = q;
     }
-    Batch batch = best->second.front();
-    best->second.pop_front();
+    if (best == queues.end()) return std::nullopt;
+    Batch batch = *pick;
+    best->second.erase(pick);
     best->first->served_ += batch.end - batch.begin;
     if (best->second.empty()) queues.erase(best);
     return batch;
@@ -607,10 +633,14 @@ struct RemoteBackend::Pool {
       Batch batch;
       {
         std::unique_lock lk(m);
-        work_cv.wait(
-            lk, [&] { return stopping || host.dead || !queues.empty(); });
-        if (stopping || host.dead) return;
-        batch = pop_locked();
+        for (;;) {
+          if (stopping || host.dead) return;
+          if (auto b = pop_locked(host)) {
+            batch = *b;
+            break;
+          }
+          work_cv.wait(lk);
+        }
       }
       Run& run = *batch.run;
 
@@ -635,11 +665,16 @@ struct RemoteBackend::Pool {
                 campaign::key_hex(u.key) + " (" + std::to_string(u.bytes) +
                 " bytes)");
         }
+        host.failures = 0;
         settle_locked(run);
         continue;
       }
 
-      ++host.failures;
+      // Only a lineage's first failure is charged to its host: a later
+      // one happens on another host (see may_take), which points at the
+      // batch, not the host. Retirement counts consecutive failures.
+      if (batch.failed_on == nullptr) ++host.failures;
+      batch.failed_on = &host;
       event(host.spec.label() + " failed " + batch.describe() +
             " (attempt " + std::to_string(batch.attempts) + "/" +
             std::to_string(opts.max_attempts) + "): " + error_text);
@@ -656,11 +691,10 @@ struct RemoteBackend::Pool {
         // each retry until the poison job sits alone in a batch and fails
         // on its own attempts. The halves are fresh batches with fresh
         // budgets, so a lineage stays bounded: at most 2N-1 batches of
-        // max_attempts each.
-        Batch left, right;
-        left.run = right.run = &run;
+        // max_attempts each. They keep failed_on, so they avoid this host.
+        Batch left = batch, right = batch;
+        left.attempts = right.attempts = 0;
         left.number = run.next_batch_number++;
-        left.begin = batch.begin;
         left.end = batch.begin + (batch.end - batch.begin) / 2;
         right.number = run.next_batch_number++;
         right.begin = left.end;
@@ -676,7 +710,8 @@ struct RemoteBackend::Pool {
       // Retire the host after repeated failures so its share of the work
       // steals onto healthy hosts — but never the last one standing, whose
       // batches should run out their attempts instead. A retired host
-      // stays out for the pool's lifetime.
+      // stays out for the pool's lifetime; retiring may leave one live
+      // host, which may_take then lets retry its own failed batches.
       if (!host.dead && host.failures >= opts.host_max_failures &&
           live_hosts > 1) {
         host.dead = true;
@@ -765,6 +800,10 @@ void RemoteBackend::run_for(Tenant& tenant, const std::vector<JobSpec>& jobs,
   }
   run.pending = ranges.size();
   run.next_batch_number = ranges.size();
+  if (!tenant.id().empty()) {
+    p.event("campaign " + tenant.id() + ": " + std::to_string(ranges.size()) +
+            " batch(es) queued");
+  }
   p.work_cv.notify_all();
   p.done_cv.wait(lk, [&] { return run.pending == 0; });
   lk.unlock();

@@ -30,9 +30,10 @@
 /// fewest jobs served so far. Every slot pulls from those queues, so work
 /// steals: a failed or unreachable host's batch is re-queued onto healthy
 /// hosts (bounded attempts per batch, a failing multi-job batch split in
-/// halves to isolate a poison job), and a host that keeps failing is
-/// retired for the pool's lifetime while at least one other host
-/// survives. Results stream into the run's ResultSink as each job lands,
+/// halves to isolate a poison job, never retried on the host it last
+/// failed on while another is live), and a host that fails several batches
+/// in a row is retired for the pool's lifetime while at least one other
+/// host survives. Results stream into the run's ResultSink as each job lands,
 /// through a per-run claim set, so retries never push a job twice; the
 /// backend contract — full-SimMetrics bit-identity with SerialBackend —
 /// holds because every job still executes through run_job and doubles
@@ -198,8 +199,11 @@ class RemoteBackend final : public ExperimentBackend {
     /// Total attempts per batch across all hosts (>= 1) before the sweep
     /// fails with the batch's last error.
     unsigned max_attempts = 3;
-    /// Failures before a host is retired. The last surviving host is
-    /// never retired — its batches just run out their attempts.
+    /// Consecutive failures (a success resets the count) before a host is
+    /// retired. Only a batch's first failure counts: a failed batch is not
+    /// retried on the same host while another is live, so its later
+    /// failures point at the batch. The last surviving host is never
+    /// retired — its batches just run out their attempts.
     unsigned host_max_failures = 2;
     /// Per-ssh-command wall-clock deadline in seconds for
     /// SshTransport; 0 resolves MFLUSH_SSH_TIMEOUT (default 600). See the
@@ -211,8 +215,8 @@ class RemoteBackend final : public ExperimentBackend {
     std::function<std::unique_ptr<remote::Transport>(
         const remote::HostSpec&)>
         transport_factory;
-    /// Serialized scheduler narration (batch failures, re-queues, host
-    /// retirements, parent snapshot uploads) — wire
+    /// Serialized scheduler narration (a named tenant's queued runs, batch
+    /// failures, re-queues, host retirements, parent snapshot uploads) — wire
     /// report::event_printer(std::cerr) for the CLI.
     std::function<void(const std::string&)> on_event;
     /// Coordinator-side warm store. Local hosts share it directly (their

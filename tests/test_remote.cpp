@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -11,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -523,10 +525,13 @@ struct Latch {
 
 /// Records every batch's `what` in dispatch order and holds the first
 /// batch until `latch` opens, so a test can queue more work behind it.
+/// Also records the pool's events, which say when a named tenant's run has
+/// queued its batches.
 struct DispatchLog {
   std::mutex m;
   std::condition_variable cv;
   std::vector<std::string> whats;
+  std::vector<std::string> events;
   Latch latch;
 
   [[nodiscard]] std::size_t count(const std::string& needle) {
@@ -541,6 +546,18 @@ struct DispatchLog {
     std::unique_lock lk(m);
     (void)cv.wait_for(lk, std::chrono::seconds(10),
                       [&] { return whats.size() >= n; });
+  }
+  /// Block until tenant `id`'s run has queued its batches in the pool.
+  void await_queued(const std::string& id) {
+    const std::string needle = "campaign " + id + ": ";
+    std::unique_lock lk(m);
+    (void)cv.wait_for(lk, std::chrono::seconds(10), [&] {
+      return std::any_of(events.begin(), events.end(),
+                         [&](const std::string& e) {
+                           return e.starts_with(needle) &&
+                                  e.find("queued") != std::string::npos;
+                         });
+    });
   }
 };
 
@@ -577,6 +594,11 @@ RemoteBackend::Options one_slot_logging_pool(DispatchLog& log) {
   opts.transport_factory = [&log](const remote::HostSpec&) {
     return std::make_unique<LoggingTransport>(log);
   };
+  opts.on_event = [&log](const std::string& line) {
+    const std::lock_guard lk(log.m);
+    log.events.push_back(line);
+    log.cv.notify_all();
+  };
   return opts;
 }
 
@@ -592,7 +614,7 @@ TEST(RemoteTenants, LateSmallTenantIsServedBeforeTheLargeOneDrains) {
   std::thread ta([&] { large.run(jobs_a, sink_a); });
   log.await(1);  // A's first batch holds the only slot; 39 stay queued
   std::thread tb([&] { small.run(jobs_b, sink_b); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  log.await_queued("B");  // B's 4 batches wait behind A's 39
   log.latch.release();
   tb.join();
   ta.join();
@@ -680,8 +702,8 @@ TEST(RemoteTenants, FailedBatchOfOneTenantRequeuesWhileTheOtherProceeds) {
   flaky.name = "flaky";
   opts.hosts = {healthy, flaky};
   opts.batch_jobs = 1;
-  // Defaults: the flaky host retires after its second failure, so no
-  // batch can fail all three of its attempts there.
+  // A batch that failed on the flaky host is not dispatched there again
+  // while the healthy host is live, so none of A's batches can fail twice.
   opts.transport_factory = [&](const remote::HostSpec& host)
       -> std::unique_ptr<remote::Transport> {
     if (host.name == "flaky")
@@ -719,6 +741,155 @@ TEST(RemoteTenants, FailedBatchOfOneTenantRequeuesWhileTheOtherProceeds) {
   EXPECT_GE(a_failures, 1u);
 }
 
+/// Fails every batch of tenant A on any host (a poison job, not a bad
+/// host). Each host's first batch of tenant B waits until B has a batch in
+/// flight on two hosts, so B shows which hosts are still live.
+class PoisonATransport final : public remote::Transport {
+ public:
+  struct Shared {
+    std::mutex m;
+    std::condition_variable cv;
+    std::set<std::string> b_hosts;
+  };
+  explicit PoisonATransport(Shared& shared) : shared_(shared) {}
+  [[nodiscard]] std::string name() const override { return "test-poison"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override {
+    if (what.find("campaign A ") != std::string::npos) {
+      throw remote::TransportError(host.label() + ": worker crashed on " +
+                                   what);
+    }
+    {
+      std::unique_lock lk(shared_.m);
+      shared_.b_hosts.insert(host.label());
+      shared_.cv.notify_all();
+      (void)shared_.cv.wait_for(lk, std::chrono::seconds(10),
+                                [&] { return shared_.b_hosts.size() >= 2; });
+    }
+    run_batch_in_process(job_bytes, on_result);
+  }
+
+ private:
+  Shared& shared_;
+};
+
+TEST(RemoteTenants, PoisonJobOfOneTenantRetiresNoHost) {
+  // The daemon's settings: one job per batch, default attempts and
+  // retirement threshold. A's one job fails on every host.
+  PoisonATransport::Shared shared;
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec x, y;
+  x.name = "x";
+  y.name = "y";
+  opts.hosts = {x, y};
+  opts.batch_jobs = 1;
+  opts.transport_factory = [&](const remote::HostSpec&) {
+    return std::make_unique<PoisonATransport>(shared);
+  };
+  std::vector<std::string> events;
+  std::mutex events_mutex;
+  opts.on_event = [&](const std::string& line) {
+    const std::lock_guard lk(events_mutex);
+    events.push_back(line);
+  };
+  RemoteBackend backend(opts);
+  RemoteBackend::Tenant a(backend, "A");
+  RemoteBackend::Tenant b(backend, "B");
+
+  try {
+    (void)a.run_collect(seed_jobs(1));
+    FAIL() << "expected A's poison job to fail its run";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("worker crashed"), std::string::npos)
+        << e.what();
+  }
+  // Its retries alternated hosts, and only the first failure was charged.
+  std::size_t on_x = 0, on_y = 0;
+  for (const std::string& e : events) {
+    EXPECT_EQ(e.find("retired"), std::string::npos) << e;
+    if (e.starts_with("x#0 failed campaign A ")) ++on_x;
+    if (e.starts_with("y#1 failed campaign A ")) ++on_y;
+  }
+  EXPECT_EQ(on_x + on_y, 3u);
+  EXPECT_GE(on_x, 1u);
+  EXPECT_GE(on_y, 1u);
+
+  // Both hosts still serve the next tenant.
+  const std::vector<JobSpec> jobs_b = seed_jobs(4);
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs_b), b.run_collect(jobs_b));
+  EXPECT_EQ(shared.b_hosts, (std::set<std::string>{"x#0", "y#1"}));
+}
+
+/// Fails this host's dispatches numbered in `fail` (1-based) and counts
+/// every dispatch on the rendezvous.
+class ScriptedFailTransport final : public remote::Transport {
+ public:
+  ScriptedFailTransport(std::set<int> fail, BrokenRendezvous& rendezvous)
+      : fail_(std::move(fail)), rendezvous_(rendezvous) {}
+  [[nodiscard]] std::string name() const override { return "test-scripted"; }
+  void prepare(const remote::HostSpec&) override {}
+  void run_batch(const remote::HostSpec& host,
+                 std::span<const std::uint8_t> job_bytes,
+                 const OnResult& on_result, const std::string& what) override {
+    const int n = ++dispatched_;
+    if (fail_.contains(n)) {
+      rendezvous_.bump();
+      throw remote::TransportError(host.label() + ": dropped " + what);
+    }
+    run_batch_in_process(job_bytes, on_result);
+    rendezvous_.bump();
+  }
+
+ private:
+  std::set<int> fail_;
+  BrokenRendezvous& rendezvous_;
+  std::atomic<int> dispatched_{0};
+};
+
+TEST(RemoteBackendTest, ASuccessResetsAHostsFailureCount) {
+  // The flaky host fails its first and third batches and runs its second:
+  // two failures, but not in a row, so it stays in the pool. The healthy
+  // host holds its first batch until the flaky one has run three.
+  BrokenRendezvous rendezvous;
+  RemoteBackend::Options opts;
+  opts.worker_binary = "unused-by-injected-transports";
+  remote::HostSpec healthy, flaky;
+  healthy.name = "healthy";
+  flaky.name = "flaky";
+  opts.hosts = {healthy, flaky};
+  opts.batch_jobs = 1;
+  opts.host_max_failures = 2;
+  opts.transport_factory = [&](const remote::HostSpec& host)
+      -> std::unique_ptr<remote::Transport> {
+    if (host.name == "flaky") {
+      return std::make_unique<ScriptedFailTransport>(std::set<int>{1, 3},
+                                                     rendezvous);
+    }
+    return std::make_unique<GatedInProcessTransport>(rendezvous, 3);
+  };
+  std::vector<std::string> events;
+  std::mutex events_mutex;
+  opts.on_event = [&](const std::string& line) {
+    const std::lock_guard lk(events_mutex);
+    events.push_back(line);
+  };
+
+  const std::vector<JobSpec> jobs = small_grid_jobs();
+  RemoteBackend backend(opts);
+  SerialBackend serial;
+  expect_identical_runs(serial.run_collect(jobs), backend.run_collect(jobs));
+  std::size_t failures = 0;
+  for (const std::string& e : events) {
+    EXPECT_EQ(e.find("retired"), std::string::npos) << e;
+    if (e.starts_with("flaky#1 failed ")) ++failures;
+  }
+  EXPECT_EQ(failures, 2u);
+}
+
 TEST(RemoteTenants, CancelFailsOnlyThatTenant) {
   DispatchLog log;
   RemoteBackend backend(one_slot_logging_pool(log));
@@ -738,7 +909,7 @@ TEST(RemoteTenants, CancelFailsOnlyThatTenant) {
   log.await(1);  // A's first batch holds the only slot
   std::vector<RunResult> got_b;
   std::thread tb([&] { got_b = b.run_collect(jobs_b); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  log.await_queued("B");  // both tenants have queued batches
   backend.cancel(a);
   log.latch.release();
   ta.join();
