@@ -1,7 +1,5 @@
 #pragma once
 
-#include <algorithm>
-
 #include "core/fetch_policy.h"
 
 /// The other counting fetch heuristics of Tullsen et al. (ISCA-23), which
@@ -20,15 +18,13 @@ class BrcountPolicy final : public FetchPolicy {
 
   void fetch_order(const CoreView& view,
                    std::array<ThreadId, kMaxContexts>& order) override {
-    for (std::uint32_t i = 0; i < view.num_threads; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.begin() + view.num_threads,
-                     [&view](ThreadId a, ThreadId b) {
-                       if (view.brcount[a] != view.brcount[b])
-                         return view.brcount[a] < view.brcount[b];
-                       if (view.icount[a] != view.icount[b])
-                         return view.icount[a] < view.icount[b];
-                       return a < b;
-                     });
+    sort_contexts(view.num_threads, order, [&view](ThreadId a, ThreadId b) {
+      if (view.brcount[a] != view.brcount[b])
+        return view.brcount[a] < view.brcount[b];
+      if (view.icount[a] != view.icount[b])
+        return view.icount[a] < view.icount[b];
+      return a < b;
+    });
   }
 };
 
@@ -42,15 +38,13 @@ class L1DMissCountPolicy final : public FetchPolicy {
 
   void fetch_order(const CoreView& view,
                    std::array<ThreadId, kMaxContexts>& order) override {
-    for (std::uint32_t i = 0; i < view.num_threads; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.begin() + view.num_threads,
-                     [&view](ThreadId a, ThreadId b) {
-                       if (view.misscount[a] != view.misscount[b])
-                         return view.misscount[a] < view.misscount[b];
-                       if (view.icount[a] != view.icount[b])
-                         return view.icount[a] < view.icount[b];
-                       return a < b;
-                     });
+    sort_contexts(view.num_threads, order, [&view](ThreadId a, ThreadId b) {
+      if (view.misscount[a] != view.misscount[b])
+        return view.misscount[a] < view.misscount[b];
+      if (view.icount[a] != view.icount[b])
+        return view.icount[a] < view.icount[b];
+      return a < b;
+    });
   }
 };
 

@@ -1,18 +1,14 @@
 #include "core/fetch_policy.h"
 
-#include <algorithm>
-
 namespace mflush {
 
 void icount_order(const CoreView& view,
                   std::array<ThreadId, kMaxContexts>& order) {
-  for (std::uint32_t i = 0; i < view.num_threads; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.begin() + view.num_threads,
-                   [&view](ThreadId a, ThreadId b) {
-                     if (view.icount[a] != view.icount[b])
-                       return view.icount[a] < view.icount[b];
-                     return a < b;
-                   });
+  sort_contexts(view.num_threads, order, [&view](ThreadId a, ThreadId b) {
+    if (view.icount[a] != view.icount[b])
+      return view.icount[a] < view.icount[b];
+    return a < b;
+  });
 }
 
 }  // namespace mflush

@@ -121,6 +121,21 @@ class FetchPolicy {
                            std::array<ThreadId, kMaxContexts>& order) = 0;
 };
 
+/// Fill `order[0..n)` with the context ids 0..n-1 sorted by `before`, a
+/// strict total order (the policies break ties by thread id). An in-place
+/// insertion sort over at most kMaxContexts ids: std::stable_sort would
+/// allocate a temporary buffer on every fetch cycle.
+template <typename Before>
+void sort_contexts(std::uint32_t n, std::array<ThreadId, kMaxContexts>& order,
+                   Before before) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto t = static_cast<ThreadId>(i);
+    std::uint32_t j = i;
+    for (; j > 0 && before(t, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = t;
+  }
+}
+
 /// Shared helper: ICOUNT ordering (fewest pre-issue instructions first,
 /// ties broken by thread id for determinism).
 void icount_order(const CoreView& view,

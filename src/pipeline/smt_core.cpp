@@ -23,10 +23,13 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
             (cfg.core.rob_entries + 16 * cfg.core.fetch_width)),
       int_regs_(cfg.core.int_phys_regs),
       fp_regs_(cfg.core.fp_phys_regs),
-      iq_int_(cfg.core.int_queue_entries),
-      iq_fp_(cfg.core.fp_queue_entries),
-      iq_mem_(cfg.core.mem_queue_entries),
-      fu_(cfg.core) {
+      iq_int_(cfg.core.int_queue_entries, pool_.capacity()),
+      iq_fp_(cfg.core.fp_queue_entries, pool_.capacity()),
+      iq_mem_(cfg.core.mem_queue_entries, pool_.capacity()),
+      fu_(cfg.core),
+      lsq_unissued_(cfg.core.mem_queue_entries, pool_.capacity()),
+      wakeup_(std::size_t{cfg.core.int_phys_regs} + cfg.core.fp_phys_regs,
+              pool_.capacity()) {
   assert(policy_ != nullptr);
   assert(!traces_.empty() && traces_.size() <= kMaxContexts);
   const auto n = traces_.size();
@@ -43,7 +46,6 @@ SmtCore::SmtCore(CoreId id, const SimConfig& cfg, MemoryHierarchy& mem,
   inflight_dmiss_.assign(n, 0);
   scratch_due_.reserve(128);
   scratch_ready_.reserve(128);
-  lsq_unissued_.reserve(cfg.core.mem_queue_entries);
 }
 
 IssueQueue& SmtCore::queue_for(InstrClass cls) noexcept {
@@ -115,6 +117,50 @@ bool SmtCore::sources_ready(const MicroOp& u) const noexcept {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// producer-driven wakeup
+// ---------------------------------------------------------------------------
+//
+// Invariant: a queued, unissued uop's ready bit is set exactly when
+// sources_ready() holds for it. Source registers only turn ready in
+// write_dst, and a register a queued uop reads cannot be freed and
+// re-allocated before that uop issues or is squashed (its producer is older,
+// and its next writer younger, in the same thread).
+
+std::uint32_t SmtCore::wait_key(const MicroOp& u, int s) const noexcept {
+  const PhysReg r = u.src_phys[s];
+  if (RenameMap::is_fp_reg(u.ins.src[s]))
+    return fp_regs_.ready(r) ? WakeupLists::kNone : int_regs_.size() + r;
+  return int_regs_.ready(r) ? WakeupLists::kNone : r;
+}
+
+void SmtCore::await_sources(UopHandle h) {
+  const MicroOp& u = pool_[h];
+  if (!wakeup_.wait(h, wait_key(u, 0), wait_key(u, 1)))
+    ready_queue(u).mark_ready(h);
+}
+
+void SmtCore::write_dst(const MicroOp& u) {
+  if (u.dst_phys == kNoPhysReg) return;
+  std::uint32_t key = u.dst_phys;
+  if (RenameMap::is_fp_reg(u.ins.dst)) {
+    fp_regs_.set_ready(u.dst_phys);
+    key += int_regs_.size();
+  } else {
+    int_regs_.set_ready(u.dst_phys);
+  }
+  wakeup_.wake(key, [this](UopHandle h) {
+    ready_queue(pool_[h]).mark_ready(h);
+  });
+}
+
+UopHandle SmtCore::first_wakeup_mismatch() const {
+  for (const IssueQueue* q : {&iq_int_, &iq_fp_, &lsq_unissued_})
+    for (const UopHandle h : q->entries())
+      if (q->is_ready(h) != sources_ready(pool_[h])) return h;
+  return kNoUop;
+}
+
 Cycle SmtCore::next_local_event(Cycle now) const {
   if (exec_live_ != 0) return now + 1;  // a local completion writes back soon
   for (ThreadId t = 0; t < fstate_.size(); ++t)
@@ -156,13 +202,10 @@ Cycle SmtCore::next_local_event(Cycle now) const {
   }
   // Issue: every queued-but-unissued uop must be waiting on a frozen
   // source register. The int/fp queues hold only unissued entries (entries
-  // leave at issue); issued loads are excluded from lsq_unissued_.
-  for (const IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    for (const UopHandle h : q->entries())
-      if (sources_ready(pool_[h])) return now + 1;
-  }
-  for (const UopHandle h : lsq_unissued_)
-    if (sources_ready(pool_[h])) return now + 1;
+  // leave at issue); issued loads leave lsq_unissued_. The ready bits are
+  // the state do_issue selects from, so the proof and the selector agree.
+  if (iq_int_.any_ready() || iq_fp_.any_ready() || lsq_unissued_.any_ready())
+    return now + 1;
   return horizon;
 }
 
@@ -239,10 +282,7 @@ void SmtCore::do_memory_completions(Cycle now) {
     MicroOp& u = pool_[h];
     u.completed = true;
     u.ready_at = now;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    write_dst(u);
     u.mem_token = 0;
     iq_mem_.remove(h);  // frees the LSQ entry
   }
@@ -263,14 +303,7 @@ void SmtCore::do_commit(Cycle now) {
       if (u.is_store()) {
         // Stores retire by writing to memory: they need ready sources and
         // a load/store port this cycle.
-        const bool ready =
-            (RenameMap::is_fp_reg(u.ins.src[0])
-                 ? fp_regs_.ready(u.src_phys[0])
-                 : int_regs_.ready(u.src_phys[0])) &&
-            (RenameMap::is_fp_reg(u.ins.src[1])
-                 ? fp_regs_.ready(u.src_phys[1])
-                 : int_regs_.ready(u.src_phys[1]));
-        if (!ready || !fu_.try_take(InstrClass::Store)) break;
+        if (!sources_ready(u) || !fu_.try_take(InstrClass::Store)) break;
         mem_.request_store(id_, t, u.ins.eff_addr, now);
         iq_mem_.remove(h);
         assert(preissue_[t] > 0);
@@ -324,10 +357,7 @@ void SmtCore::do_writeback(Cycle now) {
     MicroOp& u = pool_[h];
     if (!u.in_use || u.completed || !u.issued) continue;  // squashed above
     u.completed = true;
-    if (u.dst_phys != kNoPhysReg) {
-      (RenameMap::is_fp_reg(u.ins.dst) ? fp_regs_ : int_regs_)
-          .set_ready(u.dst_phys);
-    }
+    write_dst(u);
     if (u.is_load()) iq_mem_.remove(h);  // wrong-path loads complete locally
     if (u.is_control() && inflight_ctrl_[u.tid] > 0) --inflight_ctrl_[u.tid];
     assert(exec_live_ > 0);
@@ -358,43 +388,41 @@ void SmtCore::do_writeback(Cycle now) {
 void SmtCore::do_issue(Cycle now) {
   std::uint32_t width = cfg_.core.issue_width;
 
-  // One readiness predicate, shared with next_local_event's sleep proof:
-  // the two must never diverge or a core could sleep past an issuable uop.
-  auto ready = [this](const MicroOp& u) { return sources_ready(u); };
+  // Selection reads only the queues' ready bits, the same state
+  // next_local_event's sleep proof reads: the two cannot diverge, so a
+  // core never sleeps past an issuable uop. Oldest ready entry first;
+  // running out of a class's units ends that queue's selection.
 
   // Integer and FP queues: entries leave at issue.
   for (IssueQueue* q : {&iq_int_, &iq_fp_}) {
-    scratch_issue_.clear();
-    for (const UopHandle h : q->entries()) {
-      if (width == 0) break;
+    while (width > 0) {
+      const UopHandle h = q->oldest_ready();
+      if (h == kNoUop) break;
       MicroOp& u = pool_[h];
-      if (!ready(u)) continue;
       if (!fu_.try_take(u.ins.cls)) break;  // class units exhausted
       u.issued = true;
       u.stage = PipeStage::Queue;  // occupancy_stage maps issued->Execute
       u.ready_at = now + FuBudget::latency(cfg_.core, u.ins.cls);
       exec_wheel_.schedule(u.ready_at, now, {h, pool_.generation(h)});
       ++exec_live_;
-      scratch_issue_.push_back(h);
+      q->remove(h);
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
       ++stats_.instructions_issued;
       --width;
     }
-    for (const UopHandle h : scratch_issue_) q->remove(h);
   }
 
   // Memory queue: loads issue to the hierarchy but keep their LSQ entry
-  // until the data returns (stores wait for commit), so selection walks
-  // the age-ordered unissued-load list rather than the whole queue.
-  bool any_load_issued = false;
-  for (const UopHandle h : lsq_unissued_) {
-    if (width == 0) break;
+  // until the data returns (stores wait for commit), so selection uses the
+  // age-ordered unissued-load queue rather than the whole LSQ.
+  while (width > 0) {
+    const UopHandle h = lsq_unissued_.oldest_ready();
+    if (h == kNoUop) break;
     MicroOp& u = pool_[h];
-    if (!ready(u)) continue;
     if (!fu_.try_take(InstrClass::Load)) break;
     u.issued = true;
-    any_load_issued = true;
+    lsq_unissued_.remove(h);
     assert(preissue_[u.tid] > 0);
     --preissue_[u.tid];
     ++stats_.instructions_issued;
@@ -415,9 +443,6 @@ void SmtCore::do_issue(Cycle now) {
                               now);
     }
   }
-  if (any_load_issued)
-    std::erase_if(lsq_unissued_,
-                  [this](UopHandle h) { return pool_[h].issued; });
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +496,8 @@ void SmtCore::do_dispatch(Cycle now) {
       u.stage = PipeStage::Queue;
       rob_[t].push_back(h);
       q.insert(h);
-      if (&q == &iq_mem_ && u.is_load()) lsq_unissued_.push_back(h);
+      if (u.is_load()) lsq_unissued_.insert(h);
+      if (!u.is_store()) await_sources(h);  // stores are checked at commit
       ++preissue_[t];
       frontend_[t].pop_front();
       --width;
@@ -644,7 +670,8 @@ void SmtCore::remove_squashed_uop(UopHandle h, SquashCause cause, Cycle now) {
     if (was_in_q && !u.issued) {
       assert(preissue_[u.tid] > 0);
       --preissue_[u.tid];
-      if (u.is_load()) std::erase(lsq_unissued_, h);
+      if (u.is_load()) lsq_unissued_.remove(h);
+      if (!u.is_store()) wakeup_.cancel(h);
     }
     // Issued-but-incomplete uops with no hierarchy token live on the exec
     // wheel (right-path loads wait on the hierarchy instead). Their wheel
@@ -791,7 +818,7 @@ void SmtCore::save_state(ArchiveWriter& ar) const {
   pool_.save(ar);
   exec_wheel_.save(ar);
   ar.put(exec_live_);
-  ar.put_vec(lsq_unissued_);
+  lsq_unissued_.save(ar);
   ar.put_map(load_by_token_);
   branch_.save(ar);
   policy_->save_state(ar);
@@ -817,10 +844,15 @@ void SmtCore::load_state(ArchiveReader& ar) {
   pool_.load(ar);
   exec_wheel_.load(ar);
   exec_live_ = ar.get<std::uint32_t>();
-  ar.get_vec(lsq_unissued_);
+  lsq_unissued_.load(ar);
   ar.get_map(load_by_token_);
   branch_.load(ar);
   policy_->load_state(ar);
+  // Rebuild the wakeup lists and ready bits (derived state), in
+  // O(registers + queued entries).
+  wakeup_.clear();
+  for (const IssueQueue* q : {&iq_int_, &iq_fp_, &lsq_unissued_})
+    for (const UopHandle h : q->entries()) await_sources(h);
 }
 
 }  // namespace mflush

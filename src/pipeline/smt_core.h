@@ -20,6 +20,7 @@
 #include "pipeline/rename.h"
 #include "pipeline/rob.h"
 #include "pipeline/uop.h"
+#include "pipeline/wakeup.h"
 #include "trace/bbdict.h"
 #include "trace/instr.h"
 
@@ -138,6 +139,13 @@ class SmtCore final : public CoreControl {
   [[nodiscard]] const IssueQueue& iq_int() const noexcept { return iq_int_; }
   [[nodiscard]] const IssueQueue& iq_fp() const noexcept { return iq_fp_; }
   [[nodiscard]] const IssueQueue& iq_mem() const noexcept { return iq_mem_; }
+  [[nodiscard]] const IssueQueue& lsq_unissued() const noexcept {
+    return lsq_unissued_;
+  }
+  /// Test hook for the wakeup invariant: the first queued, unissued uop
+  /// (in iq_int, iq_fp or lsq_unissued) whose ready bit disagrees with a
+  /// fresh scan of its source registers, or kNoUop when none does.
+  [[nodiscard]] UopHandle first_wakeup_mismatch() const;
   [[nodiscard]] std::uint32_t free_int_regs() const noexcept {
     return int_regs_.free_count();
   }
@@ -156,10 +164,22 @@ class SmtCore final : public CoreControl {
   /// stage: drained pipeline, all contexts hard-blocked, no memory events.
   [[nodiscard]] bool all_threads_stalled() const;
 
-  /// Source-readiness predicate used by both do_issue and
-  /// next_local_event's sleep proof — a single definition so the two can
-  /// never diverge.
+  /// Source-readiness scan: the store-commit check, and the reference the
+  /// issue queues' wakeup-maintained ready bits are tested against.
   [[nodiscard]] bool sources_ready(const MicroOp& u) const noexcept;
+
+  /// Wakeup key of source `s` of `u`: its register in one key space over
+  /// both files, or WakeupLists::kNone when absent or already ready.
+  [[nodiscard]] std::uint32_t wait_key(const MicroOp& u, int s) const noexcept;
+  /// The queue whose ready bit tracks a non-store uop's issuability.
+  [[nodiscard]] IssueQueue& ready_queue(const MicroOp& u) noexcept {
+    return u.is_load() ? lsq_unissued_ : queue_for(u.ins.cls);
+  }
+  /// Dispatch half of the wakeup: `h` (just queued) waits on its unready
+  /// sources, or is marked ready at once.
+  void await_sources(UopHandle h);
+  /// Writeback half: `u`'s destination is written; wake its waiters.
+  void write_dst(const MicroOp& u);
 
   void do_memory_completions(Cycle now);
   void do_commit(Cycle now);
@@ -219,14 +239,16 @@ class SmtCore final : public CoreControl {
   WakeupWheel<ExecEntry> exec_wheel_{64};  ///< issued, completing at ready_at
   std::uint32_t exec_live_ = 0;  ///< wheel entries whose uop is still live
   /// Not-yet-issued loads of the mem queue, in age order. The issue stage
-  /// selects from this instead of rescanning the whole LSQ (whose entries
-  /// are mostly issued loads awaiting data and stores awaiting commit).
-  std::vector<UopHandle> lsq_unissued_;
+  /// selects from this instead of the whole LSQ (whose entries are mostly
+  /// issued loads awaiting data and stores awaiting commit).
+  IssueQueue lsq_unissued_;
+  // lint: transient — derived from the queues' entries, rebuilt by
+  // load_state together with their ready bits
+  WakeupLists wakeup_;
   std::unordered_map<std::uint64_t, UopHandle> load_by_token_;
 
   std::vector<ExecEntry> scratch_due_;     // lint: transient — scratch
   std::vector<UopHandle> scratch_ready_;   // lint: transient — scratch
-  std::vector<UopHandle> scratch_issue_;   // lint: transient — scratch
 
   Cycle now_ = 0;
   CoreStats stats_;

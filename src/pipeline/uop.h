@@ -101,6 +101,8 @@ class UopPool {
   [[nodiscard]] const MicroOp& operator[](UopHandle h) const {
     return pool_[h];
   }
+  /// Slots allocated so far (the constructor's capacity unless grown).
+  [[nodiscard]] std::size_t capacity() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t live() const noexcept {
     return pool_.size() - free_.size();
   }

@@ -29,7 +29,10 @@ namespace mflush::snapshot {
 /// v3: canonical bytes — every raw-memcpy'd record carries explicit
 /// zero-initialized padding and RunningStat is serialized field-wise, so
 /// equal warmed state yields byte-identical snapshots across processes.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v4: memory-model state (banked DRAM) joined the stream.
+/// v5: issue queues became slot windows with derived ready bits; the
+/// stream bytes are unchanged (entries still saved oldest first).
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Serialize the full simulator state (header + state + checksum).
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);

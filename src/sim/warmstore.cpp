@@ -1,6 +1,7 @@
 #include "sim/warmstore.h"
 
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
@@ -23,10 +24,16 @@ std::mutex& registry_mutex() {
   return m;
 }
 
-std::unordered_map<std::uint64_t, Bytes>& registry() {
+struct Registry {
+  std::unordered_map<std::uint64_t, Bytes> entries;
+  std::deque<std::uint64_t> order;  ///< publish order, oldest first
+  std::size_t bytes = 0;            ///< total size of `entries`' vectors
+};
+
+Registry& registry() {
   // Leaked intentionally: snapshot bytes may be recalled from worker code
   // running during static destruction of other translation units.
-  static auto* r = new std::unordered_map<std::uint64_t, Bytes>();
+  static auto* r = new Registry();
   return *r;
 }
 
@@ -65,13 +72,23 @@ JobSpec warm_job_of(const JobSpec& fork) {
 void publish(std::uint64_t key, Bytes bytes) {
   if (key == 0 || !bytes) return;
   const std::lock_guard lk(registry_mutex());
-  registry().emplace(key, std::move(bytes));
+  Registry& r = registry();
+  const std::size_t size = bytes->size();
+  if (!r.entries.emplace(key, std::move(bytes)).second) return;
+  r.order.push_back(key);
+  r.bytes += size;
+  while (r.bytes > kRegistryBytes && r.order.size() > 1) {
+    const auto oldest = r.entries.find(r.order.front());
+    r.bytes -= oldest->second->size();
+    r.entries.erase(oldest);
+    r.order.pop_front();
+  }
 }
 
 Bytes recall(std::uint64_t key) {
   const std::lock_guard lk(registry_mutex());
-  const auto it = registry().find(key);
-  return it == registry().end() ? nullptr : it->second;
+  const auto it = registry().entries.find(key);
+  return it == registry().entries.end() ? nullptr : it->second;
 }
 
 }  // namespace warmstore

@@ -58,7 +58,12 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// shares one immutable byte vector. run_job feeds it (warm jobs publish
 /// their capture; by-ref forks publish self-heal re-warms) and the warm
 /// phase in run_experiment recalls it before warming anew. Put-if-absent;
-/// null keys/bytes are ignored.
+/// null keys/bytes are ignored. Holds at most kRegistryBytes of snapshots
+/// (always the newest entry): past that the oldest entries are dropped, so
+/// a long-lived process (the daemon, a loop of cold campaigns) does not
+/// keep every parent it ever warmed. A dropped parent's recall misses and
+/// the caller reads the store or re-warms, which is deterministic.
+inline constexpr std::size_t kRegistryBytes = std::size_t{256} << 20;
 void publish(std::uint64_t key,
              std::shared_ptr<const std::vector<std::uint8_t>> bytes);
 [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>> recall(

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/factory.h"
+#include "scratch_path.h"
 #include "sim/backend.h"
 #include "sim/cmp.h"
 #include "sim/remote.h"
@@ -421,9 +422,7 @@ namespace fs = std::filesystem;
 class FakeWorkerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("fake-worker-") + info->name());
+    dir_ = test::scratch_path("fake-worker-");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -638,8 +637,7 @@ TEST(SpawnAndWait, DeadlineKillsAWedgedChild) {
   // kill reaches the child's whole process group: the shell's `sleep`
   // grandchild must die with it, or it would hold the output pipe open
   // for the full 30 s.
-  const fs::path pid_file =
-      fs::path(::testing::TempDir()) / "spawn-deadline-grandchild.pid";
+  const fs::path pid_file = test::scratch_path("grandchild-pid-");
   fs::remove(pid_file);
   // Orphans re-parent to this process, which then reaps the grandchild.
   ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
@@ -688,8 +686,7 @@ TEST(SpawnAndWait, FastChildrenFinishUnderADeadline) {
 // ------------------------------------------------ worker binary discovery
 
 TEST(WorkerBinaryDiscovery, NearResolvesSelfAndSibling) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "worker-binary-near-test";
+  const fs::path dir = test::scratch_path("worker-binary-near-");
   fs::remove_all(dir);
   fs::create_directories(dir);
   {

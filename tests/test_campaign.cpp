@@ -13,6 +13,7 @@
 
 #include "common/fsio.h"
 #include "core/factory.h"
+#include "scratch_path.h"
 #include "sim/backend.h"
 #include "sim/campaign.h"
 #include "sim/workloads.h"
@@ -68,10 +69,7 @@ class CountingBackend final : public ExperimentBackend {
 class CampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("campaign-") + info->name());
+    dir_ = test::scratch_path("campaign-");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -405,7 +403,7 @@ TEST_F(CampaignTest, TempSweepKeepsLiveWritersAndRemovesDeadOnes) {
 TEST(Fsio, RenameFailureReportsTheRenameError) {
   // The temp is unlinked on failure; the message must still carry the
   // rename's errno, not unlink's.
-  const fs::path dir = fs::path(::testing::TempDir()) / "fsio-rename-dir";
+  const fs::path dir = test::scratch_path("fsio-rename-");
   fs::remove_all(dir);
   fs::create_directories(dir / "target" / "occupied");
   const std::vector<std::uint8_t> bytes = {1, 2, 3};

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <span>
 #include <future>
@@ -255,12 +256,11 @@ std::vector<RunResult> serial_run(const ExperimentSpec& spec) {
 class DaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("mflushd-") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    // mkdtemp: unique across test processes, and short, so d.sock stays
+    // within sun_path's 108 bytes whatever the test's name.
+    std::string dir = ::testing::TempDir() + "mflushd-XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr) << dir;
+    dir_ = dir;
     address_ = "unix:" + (dir_ / "d.sock").string();
     if (default_worker_binary().empty()) {
       GTEST_SKIP() << "mflushsim binary not found next to the test binary";

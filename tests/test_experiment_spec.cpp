@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/factory.h"
+#include "scratch_path.h"
 #include "sim/experiment_spec.h"
 #include "sim/workloads.h"
 
@@ -142,8 +143,8 @@ TEST(ExperimentSpec, ValidateRejectsBadDramGeometry) {
 
 TEST(ExperimentSpec, FileRoundTripSniffsBothFormats) {
   const ExperimentSpec spec = demo_spec();
-  const std::string text_path = ::testing::TempDir() + "spec_text.mfs";
-  const std::string bin_path = ::testing::TempDir() + "spec_bin.mfs";
+  const std::string text_path = test::scratch_path("spec-text-").string();
+  const std::string bin_path = test::scratch_path("spec-bin-").string();
   spec.write_file(text_path, /*binary=*/false);
   spec.write_file(bin_path, /*binary=*/true);
   expect_same_spec(spec, ExperimentSpec::read_file(text_path));

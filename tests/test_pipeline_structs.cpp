@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
+#include "common/archive.h"
 #include "common/config.h"
 #include "pipeline/fu.h"
 #include "pipeline/iq.h"
@@ -124,6 +129,131 @@ TEST(IssueQueue, CountForThread) {
   q.insert(c);
   EXPECT_EQ(q.count_for(pool, 0), 2u);
   EXPECT_EQ(q.count_for(pool, 1), 1u);
+}
+
+TEST(IssueQueue, OldestReadyAfterOutOfOrderRemovals) {
+  IssueQueue q(8);
+  for (UopHandle h : {10u, 11u, 12u, 13u, 14u}) q.insert(h);
+  EXPECT_FALSE(q.any_ready());
+  EXPECT_EQ(q.oldest_ready(), kNoUop);
+  q.mark_ready(14);
+  q.mark_ready(12);
+  q.mark_ready(11);
+  EXPECT_EQ(q.oldest_ready(), 11u);
+  EXPECT_TRUE(q.remove(11));  // issued
+  EXPECT_TRUE(q.remove(10));  // squashed while not ready
+  EXPECT_EQ(q.oldest_ready(), 12u);
+  EXPECT_TRUE(q.remove(12));
+  EXPECT_EQ(q.oldest_ready(), 14u);
+  q.insert(15);
+  q.mark_ready(15);
+  q.mark_ready(13);
+  EXPECT_EQ(q.oldest_ready(), 13u);
+  EXPECT_TRUE(q.is_ready(13));
+  EXPECT_EQ(q.entries(), (std::vector<UopHandle>{13, 14, 15}));
+  q.remove(13);
+  q.remove(14);
+  q.remove(15);
+  EXPECT_FALSE(q.any_ready());
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(IssueQueue, CompactsWhileAnOldEntryStays) {
+  // Entry 1000 never leaves while more than twice the capacity of younger
+  // entries pass through: the slot window must compact, keeping age order
+  // and ready bits.
+  IssueQueue q(64);
+  q.insert(1000);
+  for (UopHandle h = 0; h < 5 * 64; ++h) {
+    q.insert(h);
+    if (h % 3 == 0) q.mark_ready(h);
+    if (h >= 2) q.remove(h - 2);
+    if (h >= 1) {
+      ASSERT_EQ(q.entries(), (std::vector<UopHandle>{1000, h - 1, h}));
+      const UopHandle want = (h - 1) % 3 == 0 ? h - 1 : h % 3 == 0 ? h : kNoUop;
+      ASSERT_EQ(q.oldest_ready(), want) << h;
+    }
+  }
+  q.mark_ready(1000);
+  EXPECT_EQ(q.oldest_ready(), 1000u);
+  EXPECT_FALSE(q.full());
+}
+
+TEST(IssueQueue, MatchesAReferenceModelAtOddCapacities) {
+  // Random insert / remove / mark_ready against a plain age-ordered
+  // vector, at capacities that are not multiples of 64.
+  for (const std::uint32_t cap : {3u, 96u}) {
+    IssueQueue q(cap);
+    std::vector<UopHandle> model;  // age order
+    std::vector<bool> ready(4 * cap, false);
+    std::mt19937 rng(cap);
+    UopHandle next = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      const unsigned op = rng() % 3;
+      if (op == 0 && model.size() < cap) {
+        // Handles are reused once free, as the uop pool reuses slots.
+        const UopHandle h = next++ % (4 * cap);
+        if (std::find(model.begin(), model.end(), h) != model.end()) continue;
+        q.insert(h);
+        model.push_back(h);
+        ready[h] = false;
+      } else if (op == 1 && !model.empty()) {
+        const auto it = model.begin() + rng() % model.size();
+        ASSERT_TRUE(q.remove(*it));
+        model.erase(it);
+      } else if (!model.empty()) {
+        const UopHandle h = model[rng() % model.size()];
+        q.mark_ready(h);
+        ready[h] = true;
+      }
+      ASSERT_EQ(q.entries(), model) << "cap " << cap << " step " << step;
+      ASSERT_EQ(q.full(), model.size() >= cap);
+      UopHandle oldest = kNoUop;
+      for (const UopHandle h : model) {
+        if (ready[h]) {
+          oldest = h;
+          break;
+        }
+      }
+      ASSERT_EQ(q.oldest_ready(), oldest) << "cap " << cap << " step " << step;
+    }
+  }
+}
+
+TEST(IssueQueue, RemoveOfAbsentHandleReturnsFalse) {
+  IssueQueue q(4, 8);
+  EXPECT_FALSE(q.remove(3));     // never inserted, inside the index
+  EXPECT_FALSE(q.remove(5000));  // beyond the preallocated index
+  q.insert(3);
+  EXPECT_TRUE(q.remove(3));
+  EXPECT_FALSE(q.remove(3));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(IssueQueue, SavesTheBytesOfAnAgeOrderedVector) {
+  IssueQueue q(8);
+  for (UopHandle h : {7u, 2u, 9u, 4u, 6u}) q.insert(h);
+  q.remove(2);
+  q.remove(6);
+  q.mark_ready(9);
+  ArchiveWriter got;
+  q.save(got);
+  ArchiveWriter want;
+  want.put_vec(std::vector<UopHandle>{7, 9, 4});
+  EXPECT_EQ(got.bytes(), want.bytes());
+
+  // Loading replaces the old contents and clears every ready bit.
+  IssueQueue r(8);
+  r.insert(9);
+  r.insert(1);
+  r.mark_ready(1);
+  ArchiveReader in(got.bytes());
+  r.load(in);
+  EXPECT_EQ(r.entries(), (std::vector<UopHandle>{7, 9, 4}));
+  EXPECT_FALSE(r.any_ready());
+  EXPECT_FALSE(r.remove(1));
+  r.mark_ready(4);
+  EXPECT_EQ(r.oldest_ready(), 4u);
 }
 
 // -------------------------------------------------------------- PhysRegFile

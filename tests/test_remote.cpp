@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/factory.h"
+#include "scratch_path.h"
 #include "sim/backend.h"
 #include "sim/remote.h"
 #include "sim/workloads.h"
@@ -87,7 +88,7 @@ TEST(RemoteHosts, ParsesTextWithCommentsAndSeparators) {
 }
 
 TEST(RemoteHosts, ReadsHostsFile) {
-  const std::string path = ::testing::TempDir() + "hosts.txt";
+  const std::string path = test::scratch_path("hosts-").string();
   {
     std::ofstream out(path);
     out << "local slots=3\nlocal slots=1 fail=5\n";
@@ -104,7 +105,7 @@ TEST(RemoteHosts, ReadsHostsFile) {
 
   // An explicitly named pool that parses empty (every entry commented
   // out) must error, never silently degrade to a loopback run.
-  const std::string empty_path = ::testing::TempDir() + "hosts-empty.txt";
+  const std::string empty_path = test::scratch_path("hosts-empty-").string();
   {
     std::ofstream out(empty_path);
     out << "# node1 slots=4\n# node2 slots=4\n";
@@ -459,8 +460,7 @@ TEST(RemoteBackendTest, ExhaustedAttemptsSurfaceTheTransportError) {
 }
 
 TEST(RemoteBackendTest, ScratchDirLeftCleanOnSuccessAndFailure) {
-  const fs::path scratch =
-      fs::path(::testing::TempDir()) / "remote-scratch-test";
+  const fs::path scratch = test::scratch_path("remote-scratch-");
   fs::remove_all(scratch);
   fs::create_directories(scratch);
 
@@ -1029,9 +1029,7 @@ TEST(RemoteBackendTest, DefaultPoolIsLoopbackFanOut) {
 class FakeSshTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("fake-ssh-") + info->name());
+    dir_ = test::scratch_path("fake-ssh-");
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "bin");
     const char* env_path = std::getenv("PATH");

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/factory.h"
 #include "core/icount.h"
 #include "mem/hierarchy.h"
 #include "pipeline/smt_core.h"
+#include "sim/cmp.h"
+#include "sim/snapshot.h"
+#include "sim/workloads.h"
 #include "trace/trace_io.h"
 
 namespace mflush {
@@ -229,6 +233,66 @@ TEST(SmtCore, ResetStatsZeroes) {
   EXPECT_EQ(rig.core->stats().fetched, 0u);
   rig.run(200);
   EXPECT_GT(rig.core->stats().committed_total(), 0u);
+}
+
+// ------------------------------------------------------------------ Wakeup
+
+/// Ready and waiting entries seen across a run, so the check below cannot
+/// pass vacuously.
+struct WakeupTally {
+  std::uint64_t ready = 0;
+  std::uint64_t waiting = 0;
+};
+
+/// Every core's issue-queue ready bits agree with a fresh scan of the
+/// source registers.
+void expect_ready_bits_match(const CmpSimulator& sim, const std::string& what,
+                             WakeupTally& tally) {
+  for (CoreId c = 0; c < sim.num_cores(); ++c) {
+    const SmtCore& core = sim.core(c);
+    ASSERT_EQ(core.first_wakeup_mismatch(), kNoUop)
+        << what << ", core " << c << ", cycle " << sim.now();
+    for (const IssueQueue* q :
+         {&core.iq_int(), &core.iq_fp(), &core.lsq_unissued()}) {
+      for (const UopHandle h : q->entries())
+        ++(q->is_ready(h) ? tally.ready : tally.waiting);
+    }
+  }
+}
+
+TEST(Wakeup, ReadyBitsMatchSourceScan) {
+  const Workload work = *workloads::by_name("8W3");
+  for (const bool dram : {false, true}) {
+    SimConfig cfg = SimConfig::paper_default(work.num_cores(), 1);
+    if (dram) cfg.mem.memory_model = MemModelKind::BankedDram;
+    for (const PolicySpec& p :
+         {PolicySpec::icount(), PolicySpec::flush_spec(30),
+          PolicySpec::stall(30), PolicySpec::mflush()}) {
+      const std::string what = p.label() + (dram ? "/dram" : "/fixed");
+      WakeupTally tally;
+      CmpSimulator sim(cfg, work, p);
+      for (Cycle t = 0; t < 3'000; ++t) {
+        sim.run(1);
+        expect_ready_bits_match(sim, what, tally);
+        if (HasFatalFailure()) return;
+      }
+      // Mid-run restore into a chip that has run elsewhere: the wakeup
+      // state is rebuilt from the restored queues, not carried over.
+      CmpSimulator resumed(cfg, work, p);
+      resumed.run(1'234);
+      snapshot::restore(resumed, snapshot::capture(sim));
+      expect_ready_bits_match(resumed, what + " restored", tally);
+      for (Cycle t = 0; t < 1'000; ++t) {
+        sim.run(1);
+        resumed.run(1);
+        expect_ready_bits_match(resumed, what + " restored", tally);
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_EQ(resumed.metrics().committed, sim.metrics().committed) << what;
+      EXPECT_GT(tally.ready, 0u) << what;
+      EXPECT_GT(tally.waiting, 0u) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/fsio.h"
 #include "core/factory.h"
+#include "scratch_path.h"
 #include "sim/backend.h"
 #include "sim/campaign.h"
 #include "sim/cmp.h"
@@ -60,16 +61,29 @@ void expect_identical_results(const std::vector<RunResult>& a,
 class WarmStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("warmstore-") + info->name());
+    dir_ = test::scratch_path("warmstore-");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
 };
+
+// ----------------------------------------------------------------- registry
+
+TEST(WarmRegistry, DropsTheOldestParentsPastItsBudget) {
+  // One 16 MiB vector published under enough keys to pass the budget: the
+  // registry counts every entry, while the process holds the bytes once.
+  const auto bytes =
+      std::make_shared<const std::vector<std::uint8_t>>(16u << 20, 7);
+  const std::size_t n = warmstore::kRegistryBytes / bytes->size() + 2;
+  const std::uint64_t base = 0x5eed000000000000ull;
+  for (std::size_t i = 0; i < n; ++i) warmstore::publish(base + i, bytes);
+  EXPECT_EQ(warmstore::recall(base), nullptr);
+  EXPECT_EQ(warmstore::recall(base + 1), nullptr);
+  EXPECT_EQ(warmstore::recall(base + 2), bytes);
+  EXPECT_EQ(warmstore::recall(base + n - 1), bytes);
+}
 
 // --------------------------------------------------------------------- keys
 
