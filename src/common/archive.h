@@ -14,15 +14,14 @@
 ///
 /// The archive is a flat little-endian byte stream with no per-field
 /// framing: writer and reader must agree on the exact field sequence, which
-/// is version-gated by the snapshot header (sim/snapshot.h). Only
+/// is version-gated by the frame header around it (common/frame.h). Only
 /// trivially-copyable value types are serialized directly; containers are
 /// length-prefixed. Nothing here allocates on the read path beyond the
 /// containers being filled.
 namespace mflush {
 
-/// FNV-1a over a byte span — the trailing-checksum hash shared by every
-/// archive-based format (snapshots, experiment specs, worker job and
-/// result archives).
+/// FNV-1a over a byte span — the trailing checksum of every frame
+/// (common/frame.h) and the content hash behind job and warm-store keys.
 [[nodiscard]] inline std::uint64_t fnv1a(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 14695981039346656037ull;
@@ -45,6 +44,15 @@ class ArchiveWriter {
     static_assert(std::is_trivially_copyable_v<T>,
                   "field-wise save required for non-trivial types");
     put_bytes(&v, sizeof(T));
+  }
+
+  /// Overwrite bytes already written at `pos` (a backpatched length).
+  template <typename T>
+  void put_at(std::size_t pos, const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (pos + sizeof(T) > buf_.size())
+      throw std::logic_error("archive backpatch past the end");
+    std::memcpy(buf_.data() + pos, &v, sizeof(T));
   }
 
   void put_string(const std::string& s) {

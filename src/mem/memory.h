@@ -64,7 +64,7 @@ struct MemModelStats {
 ///  * reset_stats() zeroes stat counters through MemModelStats::reset()
 ///    and must not touch in-flight state;
 ///  * save/load serialize all mutable state (in-flight + counters) —
-///    part of the snapshot stream, versioned by snapshot::kFormatVersion.
+///    part of the snapshot stream, versioned by frame::kSnapshot.
 class MemoryModel {
  public:
   virtual ~MemoryModel() = default;

@@ -21,6 +21,7 @@
 #include <stdexcept>
 
 #include "common/env.h"
+#include "common/frame.h"
 #include "common/sockio.h"
 #include "sim/campaign.h"
 #include "sim/parallel.h"
@@ -127,58 +128,6 @@ std::pair<std::uint32_t, RunResult> get_result(ArchiveReader& ar) {
         std::move(payload));
   }
   return {id, std::move(r)};
-}
-
-// ------------------------------------------------------------ protocol IO
-
-constexpr std::uint64_t kJobMagic = 0x4d464c55534a4f42ull;     // "MFLUSJOB"
-constexpr std::uint64_t kResultMagic = 0x4d464c5553524553ull;  // "MFLUSRES"
-
-/// Both protocol archives: magic, version, u64 entry count, the entries,
-/// and a trailing FNV-1a checksum over everything before it.
-template <typename PutEntries>
-std::vector<std::uint8_t> encode_archive(std::uint64_t magic,
-                                         std::size_t count,
-                                         PutEntries put_entries) {
-  ArchiveWriter ar;
-  ar.put(magic);
-  ar.put(worker::kProtocolVersion);
-  ar.put<std::uint64_t>(count);
-  put_entries(ar);
-  ar.put(fnv1a(ar.bytes()));
-  return ar.take();
-}
-
-/// Decode an encode_archive stream, rejecting a bad checksum, magic or
-/// version and trailing bytes. `what` names the format and `name` the
-/// source in error messages.
-template <typename Entry, typename GetEntry>
-std::vector<Entry> decode_archive(std::span<const std::uint8_t> bytes,
-                                  std::uint64_t magic, const std::string& what,
-                                  const std::string& name,
-                                  GetEntry get_entry) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error(what + " truncated: " + name);
-  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
-    throw std::runtime_error(what + " checksum mismatch: " + name);
-  ArchiveReader ar(body);
-  if (body.size() < sizeof(magic) || ar.get<std::uint64_t>() != magic)
-    throw std::runtime_error("not a " + what + ": " + name);
-  if (const auto v = ar.get<std::uint32_t>(); v != worker::kProtocolVersion) {
-    throw std::runtime_error(what + " protocol version " + std::to_string(v) +
-                             " incompatible with " +
-                             std::to_string(worker::kProtocolVersion));
-  }
-  const auto n = ar.get<std::uint64_t>();
-  std::vector<Entry> entries;
-  entries.reserve(std::min<std::uint64_t>(n, body.size()));
-  for (std::uint64_t i = 0; i < n; ++i) entries.push_back(get_entry(ar));
-  if (!ar.done())
-    throw std::runtime_error(what + " has trailing bytes: " + name);
-  return entries;
 }
 
 /// Owns one file descriptor; closes it on destruction.
@@ -604,52 +553,76 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 namespace worker {
 
 std::vector<std::uint8_t> encode_jobs(const std::vector<JobSpec>& jobs) {
-  return encode_archive(kJobMagic, jobs.size(), [&](ArchiveWriter& ar) {
-    for (const JobSpec& j : jobs) j.save(ar);
-  });
+  ArchiveWriter ar;
+  for (const JobSpec& j : jobs) {
+    const std::size_t start = frame::begin(ar, frame::kJob);
+    j.save(ar);
+    frame::seal(ar, start);
+  }
+  return ar.take();
 }
 
 std::vector<JobSpec> decode_jobs(std::span<const std::uint8_t> bytes,
                                  const std::string& what) {
-  return decode_archive<JobSpec>(
-      bytes, kJobMagic, "mflush job archive", what,
-      [](ArchiveReader& ar) { return JobSpec::load(ar); });
+  try {
+    std::vector<JobSpec> jobs;
+    while (!bytes.empty()) {
+      const frame::Next f = frame::next(bytes, frame::kJob, kMaxFrameBytes);
+      if (f.status == frame::Status::kBad) throw std::runtime_error(f.error);
+      if (f.status == frame::Status::kNeedMore)
+        throw std::runtime_error("job stream cut mid-frame");
+      ArchiveReader ar(f.payload);
+      jobs.push_back(JobSpec::load(ar));
+      frame::finish(ar, frame::kJob);
+      bytes = bytes.subspan(f.size);
+    }
+    return jobs;
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + ": " + what);
+  }
 }
 
 std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results) {
-  return encode_archive(kResultMagic, results.size(), [&](ArchiveWriter& ar) {
-    for (const auto& [id, r] : results) put_result(ar, id, r);
-  });
+  ArchiveWriter ar;
+  const std::size_t start = frame::begin(ar, frame::kResult);
+  ar.put<std::uint64_t>(results.size());
+  for (const auto& [id, r] : results) put_result(ar, id, r);
+  frame::seal(ar, start);
+  return ar.take();
 }
 
 std::vector<std::pair<std::uint32_t, RunResult>> decode_results(
     std::span<const std::uint8_t> bytes, const std::string& what) {
-  return decode_archive<std::pair<std::uint32_t, RunResult>>(
-      bytes, kResultMagic, "mflush result archive", what, get_result);
-}
-
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> archive) {
-  const std::uint64_t len = archive.size();
-  std::vector<std::uint8_t> out(sizeof(len));
-  std::memcpy(out.data(), &len, sizeof(len));
-  out.insert(out.end(), archive.begin(), archive.end());
-  return out;
+  try {
+    ArchiveReader ar = frame::open(bytes, frame::kResult);
+    const auto n = ar.get<std::uint64_t>();
+    std::vector<std::pair<std::uint32_t, RunResult>> entries;
+    entries.reserve(std::min<std::uint64_t>(n, ar.remaining()));
+    for (std::uint64_t i = 0; i < n; ++i) entries.push_back(get_result(ar));
+    frame::finish(ar, frame::kResult);
+    return entries;
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + ": " + what);
+  }
 }
 
 void FrameReader::feed(
     std::span<const std::uint8_t> chunk,
     const std::function<void(std::span<const std::uint8_t>)>& on_frame) {
   buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-  std::size_t pos = 0;
-  std::uint64_t len = 0;
-  while (buf_.size() - pos >= sizeof(len)) {
-    std::memcpy(&len, buf_.data() + pos, sizeof(len));
-    if (len > buf_.size() - pos - sizeof(len)) break;
-    on_frame({buf_.data() + pos + sizeof(len), static_cast<std::size_t>(len)});
-    pos += sizeof(len) + static_cast<std::size_t>(len);
+  std::span<const std::uint8_t> rest(buf_);
+  for (;;) {
+    // decode_results checks the sum; a warm result carries a whole snapshot.
+    const frame::Next f = frame::next(rest, frame::kResult, kMaxFrameBytes,
+                                      /*check_sum=*/false);
+    if (f.status == frame::Status::kBad) throw std::runtime_error(f.error);
+    if (f.status == frame::Status::kNeedMore) break;
+    on_frame(rest.first(f.size));
+    rest = rest.subspan(f.size);
   }
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+  buf_.erase(buf_.begin(),
+             buf_.end() - static_cast<std::ptrdiff_t>(rest.size()));
 }
 
 int run_worker(std::istream& in, std::ostream& out,
@@ -691,8 +664,7 @@ int run_worker(std::istream& in, std::ostream& out,
         store->put(job.parent_key, result.payload);
       // One frame per job, written the moment it finishes: the
       // coordinator streams it into the sink while later jobs still run.
-      const auto framed =
-          frame(encode_results({{job.id, std::move(result)}}));
+      const auto framed = encode_results({{job.id, std::move(result)}});
       out.write(reinterpret_cast<const char*>(framed.data()),
                 static_cast<std::streamsize>(framed.size()));
       if (!out.flush()) throw std::runtime_error("result write failed");

@@ -212,42 +212,42 @@ std::vector<RunResult> run_experiment(const ExperimentSpec& spec,
 
 // ------------------------------------------------------ worker protocol
 //
-// A worker reads one job archive on stdin and answers on stdout with one
-// length-prefixed result archive per job, written as each job finishes.
-// Both archives are flat ArchiveWriter streams: magic, version, u64 count,
-// the entries, and a trailing FNV-1a checksum over everything before it.
-// Decoders reject bad magic, version skew, checksum mismatch and trailing
-// bytes outright — a corrupt job must fail loudly, never half-run.
+// A worker reads one frame::kJob frame per job on stdin, to EOF, and
+// answers on stdout with one frame::kResult frame per job, written as each
+// job finishes. Frames are self-delimiting (common/frame.h), so neither
+// stream needs an outer length prefix. Decoders reject damage, version
+// skew and trailing bytes outright — a corrupt job must fail loudly, never
+// half-run.
 namespace worker {
 
-/// v2: JobSpec gained warm_only + parent_key (with a by-reference snapshot
-/// tag) and RunResult gained the warm-job payload. v4: jobs arrive on
-/// stdin and results leave as framed one-entry archives on stdout.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// Bound on one frame's payload in a worker stream. Warm results and
+/// parent uploads carry whole snapshots, so it is generous; its job is to
+/// turn a damaged length into an error the moment the header arrives,
+/// instead of buffering the stream to EOF.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
 
-/// The job archive (magic "MFLUSJOB") a worker reads on stdin.
+/// A worker's stdin: one job frame per job, concatenated.
 [[nodiscard]] std::vector<std::uint8_t> encode_jobs(
     const std::vector<JobSpec>& jobs);
 [[nodiscard]] std::vector<JobSpec> decode_jobs(
     std::span<const std::uint8_t> bytes, const std::string& what);
 
-/// The result archive (magic "MFLUSRES"). A worker emits one one-entry
-/// archive per job; the campaign result cache (sim/campaign.h) stores the
-/// same one-entry archives, so a cache entry is readable by the same
-/// decoder the worker protocol trusts. `what` is woven into errors.
+/// One result frame holding every (slot id, result) entry. A worker emits
+/// one one-entry frame per job; the campaign result cache (sim/campaign.h)
+/// stores the same one-entry frames, so a cache entry is readable by the
+/// same decoder the worker protocol trusts. `what` is woven into errors.
 [[nodiscard]] std::vector<std::uint8_t> encode_results(
     const std::vector<std::pair<std::uint32_t, RunResult>>& results);
 [[nodiscard]] std::vector<std::pair<std::uint32_t, RunResult>>
 decode_results(std::span<const std::uint8_t> bytes, const std::string& what);
 
-/// One frame of a worker's stdout: a u64 byte length, then `archive`.
-[[nodiscard]] std::vector<std::uint8_t> frame(
-    std::span<const std::uint8_t> archive);
-
-/// Splits a worker's stdout byte stream back into its result archives.
+/// Splits a worker's stdout byte stream back into its result frames.
 class FrameReader {
  public:
-  /// Append `chunk`; hand every frame it completes to `on_frame`.
+  /// Append `chunk`; hand every frame it completes to `on_frame`, which
+  /// must decode_results() it (that checks the checksum). Throws
+  /// std::runtime_error on a damaged header — a bad magic or version, or a
+  /// length over kMaxFrameBytes — as soon as the header is in.
   void feed(std::span<const std::uint8_t> chunk,
             const std::function<void(std::span<const std::uint8_t>)>&
                 on_frame);
@@ -259,10 +259,10 @@ class FrameReader {
   std::vector<std::uint8_t> buf_;
 };
 
-/// The `mflushsim --worker -` entry point: read the job archive from `in`
-/// (stdin) to EOF, run every job, and write each job's framed one-entry
-/// result archive to `out` (stdout) as soon as it finishes (warm and
-/// measured jobs alike). Returns a process exit code (0 on success).
+/// The `mflushsim --worker -` entry point: read the job frames from `in`
+/// (stdin) to EOF, run every job, and write each job's one-entry result
+/// frame to `out` (stdout) as soon as it finishes (warm and measured jobs
+/// alike). Returns a process exit code (0 on success).
 ///
 /// A non-empty `store_dir` opens the host-side WarmStore
 /// (`--worker-store`): embedded parent snapshots are installed into it

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/env.h"
+#include "common/frame.h"
 #include "common/fsio.h"
 
 namespace mflush {
@@ -20,15 +21,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kJournalMagic = 0x4d464c555357414cull;  // "MFLUSWAL"
-constexpr std::uint64_t kKeyMagic = 0x4d464c55534b4559ull;      // "MFLUSKEY"
-constexpr std::size_t kHeaderBytes =
-    sizeof(std::uint64_t) + sizeof(std::uint32_t);
-/// state(u8) + job_id(u32) + key(u64) + aux(u64)
+constexpr std::uint64_t kKeyMagic = 0x4d464c55534b4559ull;  // "MFLUSKEY"
+/// A record's payload: state(u8) + job_id(u32) + key(u64) + aux(u64). It
+/// is also the stream bound, so a longer length is damage.
 constexpr std::size_t kPayloadBytes = 21;
-/// Sanity bound on a record's length prefix: anything larger than this is
-/// a torn write or garbage, not a future record format.
-constexpr std::size_t kMaxRecordBytes = 1u << 20;
 
 [[nodiscard]] std::string journal_path(const std::string& dir) {
   return (fs::path(dir) / "journal.wal").string();
@@ -69,7 +65,7 @@ std::uint64_t job_key(const JobSpec& job) {
   // Domain separation: a key is only comparable to keys minted under the
   // same canonicalization rules.
   ar.put(kKeyMagic);
-  ar.put(kFormatVersion);
+  ar.put(frame::kJournal.version);
   job.save_content(ar);
   return fnv1a(ar.bytes());
 }
@@ -90,45 +86,26 @@ std::size_t Frontier::count(JobState s) const {
 
 Frontier replay(std::span<const std::uint8_t> bytes) {
   Frontier f;
-  if (bytes.size() < kHeaderBytes) {
+  const frame::Next header = frame::next(bytes, frame::kJournal, 0);
+  if (header.status == frame::Status::kBad)
+    throw std::runtime_error("campaign journal: " + header.error);
+  if (header.status == frame::Status::kNeedMore) {
     // A journal that died before its header was durable: nothing was ever
     // dispatched under it, so the consistent frontier is empty.
     f.torn = !bytes.empty();
     return f;
   }
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
-  if (magic != kJournalMagic)
-    throw std::runtime_error("campaign journal: bad magic (not a journal)");
-  if (version != kFormatVersion) {
-    throw std::runtime_error(
-        "campaign journal: format version " + std::to_string(version) +
-        " incompatible with " + std::to_string(kFormatVersion));
-  }
-
-  std::size_t pos = kHeaderBytes;
-  f.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    // Every exit from here on is a torn/truncated/corrupt tail: stop at
-    // the last fully-checksummed record and report the tear.
-    if (bytes.size() - pos < sizeof(std::uint32_t)) break;
-    std::uint32_t len = 0;
-    std::memcpy(&len, bytes.data() + pos, sizeof(len));
-    if (len == 0 || len > kMaxRecordBytes ||
-        static_cast<std::size_t>(len) + sizeof(std::uint64_t) >
-            bytes.size() - pos - sizeof(len)) {
+  f.valid_bytes = header.size;
+  // Every record that is not a whole, valid frame is a torn, truncated or
+  // corrupt tail: stop at the last good record and report the tear.
+  for (;;) {
+    const frame::Next rec_frame = frame::next(
+        bytes.subspan(f.valid_bytes), frame::kJournal, kPayloadBytes);
+    if (rec_frame.status != frame::Status::kFrame ||
+        rec_frame.payload.size() != kPayloadBytes) {
       break;
     }
-    const auto payload = bytes.subspan(pos + sizeof(len), len);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + pos + sizeof(len) + len,
-                sizeof(stored));
-    if (fnv1a(payload) != stored) break;
-    if (payload.size() != kPayloadBytes) break;
-
-    ArchiveReader ar(payload);
+    ArchiveReader ar(rec_frame.payload);
     JournalRecord rec;
     const auto state = ar.get<std::uint8_t>();
     if (state < static_cast<std::uint8_t>(JobState::kDispatched) ||
@@ -141,8 +118,7 @@ Frontier replay(std::span<const std::uint8_t> bytes) {
     rec.aux = ar.get<std::uint64_t>();
     f.jobs[rec.key] = rec;  // later transitions supersede earlier ones
     ++f.records;
-    pos += sizeof(len) + len + sizeof(stored);
-    f.valid_bytes = pos;
+    f.valid_bytes += rec_frame.size;
   }
   f.torn = f.valid_bytes != bytes.size();
   return f;
@@ -253,7 +229,7 @@ CampaignStore CampaignStore::resume(const std::string& dir,
   // A headerless journal (crash before the header fsync) starts over; an
   // intact one is truncated to its consistent prefix so appends land
   // directly after the last good record.
-  const bool fresh = store.frontier_.valid_bytes < campaign::kHeaderBytes;
+  const bool fresh = store.frontier_.valid_bytes == 0;
   store.open_journal(fresh, store.frontier_.valid_bytes);
 
   using campaign::JobState;
@@ -279,8 +255,7 @@ void CampaignStore::open_journal(bool fresh, std::size_t keep_bytes) {
   }
   if (fresh) {
     ArchiveWriter header;
-    header.put(campaign::kJournalMagic);
-    header.put(campaign::kFormatVersion);
+    frame::seal(header, frame::begin(header, frame::kJournal));
     const auto& bytes = header.bytes();
     if (::write(journal_fd_, bytes.data(), bytes.size()) !=
         static_cast<::ssize_t>(bytes.size())) {
@@ -302,15 +277,12 @@ void CampaignStore::append(
   if (records.empty()) return;
   ArchiveWriter buf;
   for (const campaign::JournalRecord& rec : records) {
-    ArchiveWriter payload;
-    payload.put(static_cast<std::uint8_t>(rec.state));
-    payload.put(rec.job_id);
-    payload.put(rec.key);
-    payload.put(rec.aux);
-    buf.put<std::uint32_t>(
-        static_cast<std::uint32_t>(payload.bytes().size()));
-    buf.put_bytes(payload.bytes().data(), payload.bytes().size());
-    buf.put(fnv1a(payload.bytes()));
+    const std::size_t start = frame::begin(buf, frame::kJournal);
+    buf.put(static_cast<std::uint8_t>(rec.state));
+    buf.put(rec.job_id);
+    buf.put(rec.key);
+    buf.put(rec.aux);
+    frame::seal(buf, start);
   }
 
   const std::lock_guard lk(journal_mutex_);

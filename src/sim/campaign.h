@@ -24,11 +24,12 @@
 ///                     via Options::cache_dir — mflushd shares one cache
 ///                     across every tenant's campaign)
 ///
-/// The journal is a classic write-ahead log at file granularity: every
-/// record is length-prefixed and carries its own FNV-1a checksum, appended
-/// with a single write() and fsync'd before the in-memory transition is
-/// acted on. Replay stops at the first bad record (torn tail, truncated
-/// length, checksum mismatch), so a SIGKILL at *any* byte offset recovers
+/// The journal is a classic write-ahead log at file granularity: an empty
+/// header frame, then one frame::kJournal frame per record (common/frame.h:
+/// length-prefixed, own FNV-1a checksum), appended with a single write()
+/// and fsync'd before the in-memory transition is acted on. Replay keeps
+/// the longest prefix of whole, valid frames (a torn tail, a truncated
+/// length or a checksum mismatch ends it), so a SIGKILL at *any* byte offset recovers
 /// to the exact frontier of fully-durable transitions; resume truncates the
 /// torn tail and appends from there. Completed results are published to the
 /// cache via write-temp + fsync + atomic-rename *before* their done record
@@ -48,23 +49,17 @@
 namespace mflush {
 namespace campaign {
 
-/// Version of the on-disk campaign formats: the journal record layout, the
-/// cache entry layout, AND the job-key canonicalization. Same rules as
-/// snapshot::kFormatVersion: bump on ANY change (a field added to
-/// JobSpec::save_content included), no migrations — old journals are
-/// rejected loudly and stale cache keys simply never match again.
-///
-/// v2: JobSpec content gained warm_only + parent_key, and fork jobs are
-/// canonicalized by their parent's content hash instead of the embedded
-/// snapshot bytes (the key no longer changes when a by-reference fork is
-/// resolved to inline bytes).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// frame::kJournal's version covers the journal record layout AND the
+/// job-key canonicalization (cache entries are frame::kResult frames):
+/// bump it on ANY change, a field added to JobSpec::save_content
+/// included. No migrations — old journals are rejected loudly and stale
+/// cache keys simply never match again.
 
 /// Stable content hash of a job's canonical serialization
 /// (JobSpec::save_content: config/workload/profiles, policy, seed, warmup,
 /// measure, fork_advance, snapshot identity — embedded bytes, or the
 /// parent content hash for by-reference forks — everything except the
-/// result-slot id), domain-separated with a magic + kFormatVersion prefix
+/// result-slot id), domain-separated with a magic + version prefix
 /// so key semantics can never silently drift across format bumps.
 [[nodiscard]] std::uint64_t job_key(const JobSpec& job);
 
@@ -100,10 +95,10 @@ struct Frontier {
 };
 
 /// Replay a complete journal byte stream (header + records), stopping at
-/// the first torn/truncated/corrupt record. Throws only when the *header*
-/// is valid-length but wrong (bad magic or version skew — a foreign or
-/// incompatible file, not a torn one); a short or absent header replays to
-/// an empty, torn-at-zero frontier.
+/// the first torn/truncated/corrupt record. Throws only when the header
+/// frame is whole but bad (magic, version, length or checksum — a foreign
+/// or incompatible file, not a torn one); a short or absent header replays
+/// to an empty, torn-at-zero frontier.
 [[nodiscard]] Frontier replay(std::span<const std::uint8_t> bytes);
 
 }  // namespace campaign

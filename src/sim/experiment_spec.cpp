@@ -3,11 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/frame.h"
 #include "common/fsio.h"
 #include "sim/cmp.h"
 #include "sim/snapshot.h"
@@ -15,9 +14,6 @@
 
 namespace mflush {
 namespace {
-
-constexpr std::uint64_t kSpecMagic = 0x4d464c5553504543ull;  // "MFLUSPEC"
-constexpr std::uint32_t kSpecVersion = 2;
 
 void put_workload(ArchiveWriter& ar, const Workload& w) {
   ar.put_string(w.name);
@@ -403,8 +399,7 @@ std::vector<JobSpec> ExperimentSpec::expand() const {
 
 std::vector<std::uint8_t> ExperimentSpec::to_bytes() const {
   ArchiveWriter ar;
-  ar.put(kSpecMagic);
-  ar.put(kSpecVersion);
+  const std::size_t start = frame::begin(ar, frame::kSpec);
   ar.put_string(name);
   ar.put<std::uint64_t>(workloads.size());
   for (const Workload& w : workloads) put_workload(ar, w);
@@ -420,29 +415,13 @@ std::vector<std::uint8_t> ExperimentSpec::to_bytes() const {
   ar.put(sampled.max_rounds);
   ar.put(static_cast<std::uint8_t>(mem_model));
   put_dram(ar, dram);
-  ar.put(fnv1a(ar.bytes()));
+  frame::seal(ar, start);
   return ar.take();
 }
 
 ExperimentSpec ExperimentSpec::from_bytes(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error("experiment spec: truncated");
-  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
-    throw std::runtime_error(
-        "experiment spec: checksum mismatch (corrupt file?)");
-
-  ArchiveReader ar(body);
-  if (ar.get<std::uint64_t>() != kSpecMagic)
-    throw std::runtime_error("experiment spec: bad magic");
-  if (const auto v = ar.get<std::uint32_t>(); v != kSpecVersion) {
-    throw std::runtime_error("experiment spec: format version " +
-                             std::to_string(v) + " incompatible with " +
-                             std::to_string(kSpecVersion));
-  }
+  ArchiveReader ar = frame::open(bytes, frame::kSpec);
   ExperimentSpec spec;
   spec.name = ar.get_string();
   const auto num_w = ar.get<std::uint64_t>();
@@ -463,16 +442,16 @@ ExperimentSpec ExperimentSpec::from_bytes(
   spec.sampled.max_rounds = ar.get<std::uint32_t>();
   spec.mem_model = static_cast<MemModelKind>(ar.get<std::uint8_t>());
   spec.dram = get_dram(ar);
-  if (!ar.done())
-    throw std::runtime_error("experiment spec: trailing bytes (corrupt?)");
+  frame::finish(ar, frame::kSpec);
   spec.validate();
   return spec;
 }
 
 std::string ExperimentSpec::to_text() const {
   std::ostringstream os;
-  os << "# mflush experiment spec (text form, v" << kSpecVersion << ")\n"
-     << "# run with: mflushsim --spec FILE [--backend inprocess|worker]\n"
+  os << "# mflush experiment spec (text form)\n"
+     << "# run with: mflushsim --spec FILE"
+        " [--backend serial|inprocess|remote]\n"
      << "name " << name << '\n'
      << "mode " << (mode == RunMode::Sampled ? "sampled" : "full_run") << '\n'
      << "warmup " << warmup << '\n'
@@ -632,19 +611,8 @@ ExperimentSpec ExperimentSpec::from_text(std::string_view text) {
 }
 
 ExperimentSpec ExperimentSpec::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw std::runtime_error("cannot open experiment spec: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("experiment spec read failed: " + path);
-
-  std::uint64_t magic = 0;
-  if (bytes.size() >= sizeof(magic))
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
-  if (magic == kSpecMagic) return from_bytes(bytes);
+  const auto bytes = fsio::read_file_bytes(path, "experiment spec");
+  if (frame::has_magic(bytes, frame::kSpec)) return from_bytes(bytes);
   return from_text(
       std::string_view(reinterpret_cast<const char*>(bytes.data()),
                        bytes.size()));

@@ -113,7 +113,7 @@ struct JobSpec {
   /// bytes), so its content is stable whether or not the bytes happen to
   /// be attached — which keeps campaign::job_key (sim/campaign.h) a safe
   /// cache key across specs, campaigns, and by-ref/resolved copies of the
-  /// same fork. Any field added here must bump campaign::kFormatVersion.
+  /// same fork. Any field added here must bump frame::kJournal's version.
   void save_content(ArchiveWriter& ar) const;
 };
 
@@ -160,7 +160,7 @@ struct ExperimentSpec {
   [[nodiscard]] std::vector<JobSpec> expand() const;
 
   // --- serialization -----------------------------------------------------
-  // Binary: magic/version/fields/FNV-checksum archive, rejected on any
+  // Binary: one frame::kSpec frame (common/frame.h), rejected on any
   // corruption or version skew. Text: the hand-authorable line format
   // ("key value" lines, '#' comments — see to_text() output or
   // examples/quickstart). read_file sniffs the magic to pick the decoder.

@@ -393,7 +393,7 @@ struct UploadRecord {
   std::size_t bytes = 0;
 };
 
-/// One attempt of one batch: encode the job archive, move it through the
+/// One attempt of one batch: encode the job frames, move them through the
 /// transport, and validate and stream each result as it arrives. Throws on
 /// any failure; results streamed before the failure stay delivered.
 void run_batch_once(HostState& host, const Batch& batch,
@@ -409,7 +409,7 @@ void run_batch_once(HostState& host, const Batch& batch,
   HostSpec spec = host.spec;
   if (run.has_parents) spec.warm_store_dir = host.warm_dir;
 
-  // The only copy of the slice, alive just while encoding the job archive
+  // The only copy of the slice, alive just while encoding the job frames
   // (the snapshot payloads inside are shared_ptr-shared, not duplicated).
   // With a host-side warm store this copy is also where fork snapshots are
   // stripped: a parent already present on the host (or embedded once

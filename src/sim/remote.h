@@ -17,11 +17,11 @@
 /// Fault-tolerant distributed sweep backend.
 ///
 /// RemoteBackend schedules *batches* of JobSpecs over a pool of hosts
-/// through a pluggable Transport. A batch travels as one job archive
-/// (MFLUSJOB) on the stdin of one `mflushsim --worker -` invocation on its
-/// host, and comes back as one framed result archive (MFLUSRES) per job on
-/// its stdout — amortizing the process-spawn overhead that dominates
-/// one-subprocess-per-job fan-out.
+/// through a pluggable Transport. A batch travels as one MFLUSJOB frame
+/// per job on the stdin of one `mflushsim --worker -` invocation on its
+/// host, and comes back as one MFLUSRES frame per job on its stdout (both
+/// laid out by common/frame.h) — amortizing the process-spawn overhead
+/// that dominates one-subprocess-per-job fan-out.
 /// It is the project's one scheduler. The backend owns its hosts and one
 /// thread per host slot for its whole lifetime (started by the first
 /// run(), never by the constructor). Batches queue per tenant: a plain
@@ -107,13 +107,15 @@ class TransportError : public std::runtime_error {
 /// Moves one batch through one host. Implementations must be safe to call
 /// concurrently from that host's slots; `what` describes the batch for
 /// error messages ("batch 2 (jobs 4-7)"). Any failure — spawn, network,
-/// nonzero exit, death by signal, a stream cut mid-frame — throws
-/// TransportError so the scheduler can re-queue the batch.
+/// nonzero exit, death by signal, a stream cut mid-frame or a damaged
+/// frame header — throws TransportError so the scheduler can re-queue the
+/// batch.
 class Transport {
  public:
-  /// Receives one result archive (a one-entry MFLUSRES archive, not yet
-  /// validated) the moment the worker emits it, while later jobs of the
-  /// batch may still be running. May throw; the batch then fails.
+  /// Receives one whole result frame (a one-entry MFLUSRES frame, its
+  /// checksum not yet checked) the moment the worker emits it, while later
+  /// jobs of the batch may still be running. May throw; the batch then
+  /// fails.
   using OnResult = std::function<void(std::span<const std::uint8_t>)>;
 
   virtual ~Transport() = default;
@@ -124,8 +126,8 @@ class Transport {
   /// on the host's next batch.
   virtual void prepare(const HostSpec& host) = 0;
 
-  /// Run the job archive `job_bytes` on the host, handing each result
-  /// archive to `on_result` as it arrives.
+  /// Run the job frames `job_bytes` on the host, handing each result
+  /// frame to `on_result` as it arrives.
   virtual void run_batch(const HostSpec& host,
                          std::span<const std::uint8_t> job_bytes,
                          const OnResult& on_result,
@@ -154,7 +156,7 @@ class LocalTransport final : public Transport {
 /// ssh transport, one BatchMode ssh call per step: prepare() pipes the
 /// worker binary into `mkdir -p DIR && cat > BIN.tmp && chmod +x ... && mv`
 /// once per host; run_batch() runs `BIN --worker -` remotely with the job
-/// archive on ssh's stdin and reads the framed results off ssh's stdout,
+/// frames on ssh's stdin and reads the result frames off ssh's stdout,
 /// exactly as LocalTransport reads a local worker's. An unreachable or
 /// password-prompting host fails fast and its batches re-queue elsewhere.
 ///

@@ -1,16 +1,13 @@
 #include "sim/snapshot.h"
 
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/archive.h"
+#include "common/frame.h"
 #include "common/fsio.h"
 
 namespace mflush::snapshot {
 namespace {
-
-constexpr std::uint64_t kMagic = 0x4d464c5553534e50ull;  // "MFLUSSNP"
 
 // SimConfig is written field-wise (not memcpy'd) so struct padding never
 // leaks into the stream and the config echo compares byte-exactly.
@@ -173,8 +170,6 @@ PolicySpec get_policy(ArchiveReader& ar) {
 }
 
 void put_header(ArchiveWriter& ar, const CmpSimulator& sim) {
-  ar.put(kMagic);
-  ar.put(kFormatVersion);
   put_config(ar, sim.config());
   ar.put_string(sim.workload().name);
   ar.put_vec(sim.workload().codes);
@@ -188,33 +183,12 @@ struct Header {
 };
 
 Header get_header(ArchiveReader& ar) {
-  if (ar.get<std::uint64_t>() != kMagic)
-    throw std::runtime_error("not a mflush snapshot (bad magic)");
-  const auto version = ar.get<std::uint32_t>();
-  if (version != kFormatVersion) {
-    throw std::runtime_error(
-        "snapshot format version " + std::to_string(version) +
-        " incompatible with " + std::to_string(kFormatVersion));
-  }
   Header h;
   h.cfg = get_config(ar);
   h.workload.name = ar.get_string();
   ar.get_vec(h.workload.codes);
   h.policy = get_policy(ar);
   return h;
-}
-
-/// Split off and verify the trailing checksum; returns the payload view.
-std::span<const std::uint8_t> checked_body(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint64_t))
-    throw std::runtime_error("snapshot truncated");
-  const auto body = bytes.first(bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body.size(), sizeof(stored));
-  if (fnv1a(body) != stored)
-    throw std::runtime_error("snapshot checksum mismatch (corrupt file?)");
-  return body;
 }
 
 }  // namespace
@@ -227,10 +201,10 @@ std::vector<std::uint8_t> capture(const CmpSimulator& sim) {
         "cannot snapshot a simulator built from ad-hoc benchmark profiles");
   }
   ArchiveWriter ar;
+  const std::size_t start = frame::begin(ar, frame::kSnapshot);
   put_header(ar, sim);
   sim.save_state(ar);
-  const std::uint64_t sum = fnv1a(ar.bytes());
-  ar.put(sum);
+  frame::seal(ar, start);
   return ar.take();
 }
 
@@ -240,7 +214,7 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes) {
         "cannot restore into a simulator built from ad-hoc benchmark "
         "profiles (its workload codes are placeholders)");
   }
-  ArchiveReader ar(checked_body(bytes));
+  ArchiveReader ar = frame::open(bytes, frame::kSnapshot);
   const Header h = get_header(ar);
 
   // The target simulator must be the identical experiment: compare the
@@ -257,20 +231,15 @@ void restore(CmpSimulator& sim, std::span<const std::uint8_t> bytes) {
     throw std::runtime_error("snapshot policy does not match simulator");
 
   sim.load_state(ar);
-  if (!ar.done()) {
-    // Layout drift guard: a longer-than-expected payload means the writer
-    // had fields this reader does not know about (a missed version bump).
-    throw std::runtime_error("snapshot has trailing bytes (layout drift?)");
-  }
+  frame::finish(ar, frame::kSnapshot);
 }
 
 std::unique_ptr<CmpSimulator> make(std::span<const std::uint8_t> bytes) {
-  ArchiveReader ar(checked_body(bytes));
+  ArchiveReader ar = frame::open(bytes, frame::kSnapshot);
   const Header h = get_header(ar);
   auto sim = std::make_unique<CmpSimulator>(h.cfg, h.workload, h.policy);
   sim->load_state(ar);
-  if (!ar.done())
-    throw std::runtime_error("snapshot has trailing bytes (layout drift?)");
+  frame::finish(ar, frame::kSnapshot);
   return sim;
 }
 
@@ -282,14 +251,7 @@ void save_file(const std::string& path, const CmpSimulator& sim) {
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("cannot open snapshot file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("snapshot read failed: " + path);
-  return bytes;
+  return fsio::read_file_bytes(path, "snapshot file");
 }
 
 std::unique_ptr<CmpSimulator> load_file(const std::string& path) {

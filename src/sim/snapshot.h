@@ -10,31 +10,22 @@
 
 /// Snapshot/fork checkpointing for CmpSimulator.
 ///
-/// A snapshot is a self-describing binary blob: a header identifying the
-/// simulation (format version, full SimConfig, workload, policy spec)
-/// followed by the complete mutable state (trace-source RNGs and rings,
+/// A snapshot is one MFLUSSNP frame (common/frame.h) whose payload
+/// identifies the simulation (full SimConfig, workload, policy spec) and
+/// then holds the complete mutable state (trace-source RNGs and rings,
 /// caches, TLBs, MSHRs, bus/L2/memory queues, pipeline pools, rename maps,
-/// branch predictor, policy state, statistics) and a trailing FNV-1a
-/// checksum. Restoring a snapshot and running N cycles is bit-identical to
-/// never having snapshotted — tested by SnapshotTest.ResumeMatchesContinuous.
+/// branch predictor, policy state, statistics). Restoring a snapshot and
+/// running N cycles is bit-identical to never having snapshotted — tested
+/// by SnapshotTest.ResumeMatchesContinuous.
 ///
-/// Versioning rules: kFormatVersion MUST be bumped whenever any save_state
-/// layout changes (a field added/removed/reordered anywhere in the chain).
+/// Versioning rules: frame::kSnapshot's version MUST be bumped whenever
+/// any save_state layout changes (a field added/removed/reordered
+/// anywhere in the chain).
 /// Loaders reject any version mismatch outright — there are no migrations;
 /// snapshots are cheap to regenerate, correctness is not.
 namespace mflush::snapshot {
 
-/// v2: per-core local clocks (CmpSimulator sleep state) + WakeupWheel
-/// release cycles joined the stream.
-/// v3: canonical bytes — every raw-memcpy'd record carries explicit
-/// zero-initialized padding and RunningStat is serialized field-wise, so
-/// equal warmed state yields byte-identical snapshots across processes.
-/// v4: memory-model state (banked DRAM) joined the stream.
-/// v5: issue queues became slot windows with derived ready bits; the
-/// stream bytes are unchanged (entries still saved oldest first).
-inline constexpr std::uint32_t kFormatVersion = 5;
-
-/// Serialize the full simulator state (header + state + checksum).
+/// Serialize the full simulator state as one frame.
 [[nodiscard]] std::vector<std::uint8_t> capture(const CmpSimulator& sim);
 
 /// Restore state into an existing simulator built from the *same*

@@ -1,12 +1,12 @@
 #include "sim/warmstore.h"
 
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
 
 #include "common/archive.h"
+#include "common/frame.h"
 #include "common/fsio.h"
 #include "sim/campaign.h"
 #include "sim/snapshot.h"
@@ -14,8 +14,7 @@
 namespace mflush {
 namespace {
 
-constexpr std::uint64_t kEntryMagic = 0x4d464c555357524dull;  // "MFLUSWRM"
-constexpr std::uint64_t kKeyMagic = 0x4d464c5553574b59ull;    // "MFLUSWKY"
+constexpr std::uint64_t kKeyMagic = 0x4d464c5553574b59ull;  // "MFLUSWKY"
 
 using Bytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
@@ -51,8 +50,8 @@ std::uint64_t warm_key(const JobSpec& job) {
   parent.warm_only = true;
   ArchiveWriter ar;
   ar.put(kKeyMagic);
-  ar.put(kFormatVersion);
-  ar.put(snapshot::kFormatVersion);
+  ar.put(frame::kWarmEntry.version);
+  ar.put(frame::kSnapshot.version);
   parent.save_content(ar);
   return fnv1a(ar.bytes());
 }
@@ -130,30 +129,12 @@ std::shared_ptr<const std::vector<std::uint8_t>> WarmStore::lookup(
   try {
     const std::vector<std::uint8_t> file =
         fsio::read_file_bytes(path, "warm-store entry");
-    if (file.size() < sizeof(std::uint64_t))
-      throw std::runtime_error("truncated");
-    const std::size_t body = file.size() - sizeof(std::uint64_t);
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, file.data() + body, sizeof(stored));
-    if (fnv1a({file.data(), body}) != stored)
-      throw std::runtime_error("checksum mismatch");
-    ArchiveReader ar({file.data(), body});
-    if (ar.get<std::uint64_t>() != kEntryMagic)
-      throw std::runtime_error("bad magic");
-    if (const auto v = ar.get<std::uint32_t>();
-        v != warmstore::kFormatVersion) {
-      throw std::runtime_error("store format version " + std::to_string(v));
-    }
-    if (const auto v = ar.get<std::uint32_t>();
-        v != snapshot::kFormatVersion) {
-      throw std::runtime_error("snapshot format version " +
-                               std::to_string(v));
-    }
+    ArchiveReader ar = frame::open(file, frame::kWarmEntry);
     if (ar.get<std::uint64_t>() != key)
       throw std::runtime_error("key echo mismatch");
     std::vector<std::uint8_t> snap;
     ar.get_vec(snap);
-    if (!ar.done()) throw std::runtime_error("trailing bytes");
+    frame::finish(ar, frame::kWarmEntry);
     auto bytes =
         std::make_shared<const std::vector<std::uint8_t>>(std::move(snap));
     memo_.emplace(key, bytes);
@@ -184,12 +165,10 @@ void WarmStore::put(std::uint64_t key,
     return;
   }
   ArchiveWriter ar;
-  ar.put(kEntryMagic);
-  ar.put(warmstore::kFormatVersion);
-  ar.put(snapshot::kFormatVersion);
+  const std::size_t start = frame::begin(ar, frame::kWarmEntry);
   ar.put(key);
   ar.put_vec(*bytes);
-  ar.put(fnv1a(ar.bytes()));
+  frame::seal(ar, start);
   fsio::write_file_atomic(path, ar.bytes(), /*durable=*/true);
   ++stats_.stored;
   stats_.bytes_written += ar.bytes().size();

@@ -16,14 +16,14 @@
 /// chip is a pure function of (workload, profiles, policy, seed, warmup
 /// cycles) plus the snapshot format — so it is cacheable by content hash
 /// exactly like PR 6's result cache. A WarmStore is an on-disk directory of
-/// `<16-hex-key>.mfws` entries (checksummed archives written via
+/// `<16-hex-key>.mfws` entries (checksummed frames written via
 /// fsio::write_file_atomic) shared across specs, campaigns, backends, and —
 /// through the worker protocol's `--worker-store` — remote hosts: a host
 /// whose store already holds a parent receives the 8-byte hash instead of
 /// the multi-megabyte snapshot.
 ///
 /// Versioning follows the tree-wide no-migrations rule: warm_key folds in
-/// both warmstore::kFormatVersion and snapshot::kFormatVersion, so any
+/// both the warm-entry and the snapshot frame versions, so any
 /// layout change anywhere in the chain makes old entries *miss* (and
 /// re-warm) rather than misread. A corrupt entry (torn write, bit flip) is
 /// detected by its trailing FNV-1a checksum, discarded, and transparently
@@ -32,13 +32,12 @@ namespace mflush {
 
 namespace warmstore {
 
-/// v1: entry = magic, store version, snapshot version, key echo,
-/// length-prefixed snapshot bytes, trailing FNV-1a. Bump on ANY change to
-/// this layout or to the key derivation below.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// An entry is one frame::kWarmEntry frame: u64 key echo, then the
+/// length-prefixed snapshot bytes. Bump frame::kWarmEntry's version on ANY
+/// change to this layout or to the key derivation below.
 
 /// Content hash naming a fork job's warmed parent: FNV-1a over a domain
-/// magic ("MFLUSWKY"), kFormatVersion, snapshot::kFormatVersion, and the
+/// magic ("MFLUSWKY"), the kWarmEntry and kSnapshot versions, and the
 /// canonical parent JobSpec content (workload/profile bytes, policy, seed,
 /// warmup — policy is deliberately included: warm-up simulation is
 /// policy-dependent and snapshot::restore rejects a policy mismatch).

@@ -8,27 +8,20 @@
 #include <vector>
 
 #include "common/archive.h"
+#include "common/frame.h"
 
 /// MFLUSNET — the mflushd wire protocol.
 ///
-/// A connection is a stream of self-delimiting frames:
+/// A connection is a stream of frame::kWire frames (common/frame.h), one
+/// Message per frame payload. The wire reader bounds a payload at
+/// kMaxFrameBytes, so a corrupt length fails as soon as the header arrives
+/// instead of stalling on gigabytes that will never come. A frame that
+/// fails any check is a protocol error for the whole connection — framing
+/// is lost, so the peer closes rather than resynchronize.
 ///
-///   [u32 payload_len][payload bytes][u64 fnv1a(payload)]
-///
-/// and each payload is a flat archive:
-///
-///   u64 magic "MFLUSNET" | u32 kProtocolVersion | Message fields
-///
-/// The length prefix is bounded by kMaxFrameBytes so a corrupt prefix can
-/// never stall a reader waiting for gigabytes; the trailing checksum
-/// rejects bit damage; magic + version reject cross-protocol and
-/// cross-release traffic. A frame that fails any check is a protocol
-/// error for the whole connection — framing is lost, so the peer closes
-/// rather than resynchronize.
-///
-/// Any change to the frame layout or to Message's serialized fields must
-/// bump kProtocolVersion (enforced by tools/lint/check_format_version.py,
-/// domain 'daemon').
+/// Any change to Message's serialized fields must bump frame::kWire's
+/// version (enforced by tools/lint/check_format_version.py, domain
+/// 'daemon').
 ///
 /// Conversation shape (client speaks first; one request per connection,
 /// except SUBMIT+follow which streams):
@@ -41,11 +34,6 @@
 ///   LIST                       -> OK(text = one campaign per line)
 ///   SHUTDOWN                   -> OK, then the daemon drains and exits
 namespace mflush::daemon {
-
-inline constexpr std::uint32_t kProtocolVersion = 1;
-
-/// "MFLUSNET" little-endian.
-inline constexpr std::uint64_t kFrameMagic = 0x54454e53554c464dull;
 
 /// Upper bound on a payload. Generous (a RESULT carries one encoded
 /// RunResult, a SUBMIT one spec) but small enough that a damaged length
@@ -83,7 +71,7 @@ enum class MsgType : std::uint8_t {
 ///             shared result cache (cross-tenant dedup shows up here)
 ///   follow    SUBMIT: stream RESULT/DONE instead of detaching
 ///   blob      SUBMIT: ExperimentSpec::to_bytes(); RESULT: one-entry
-///             worker::encode_results() archive (checksummed end to end)
+///             worker::encode_results() frame (checksummed end to end)
 struct Message {
   MsgType type = MsgType::kError;
   std::string campaign;
@@ -100,14 +88,12 @@ struct Message {
   [[nodiscard]] static Message load(ArchiveReader& ar);
 };
 
-/// Encode one complete frame (length prefix + payload + checksum).
+/// Encode one complete frame.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Message& msg);
 
-enum class ExtractStatus : std::uint8_t {
-  kNeedMore = 0,  ///< prefix of a valid frame — read more bytes
-  kFrame = 1,     ///< one frame decoded; `consumed` bytes may be dropped
-  kBad = 2,       ///< protocol error — close the connection
-};
+/// kNeedMore: read more bytes; kFrame: one message decoded, `consumed`
+/// bytes may be dropped; kBad: protocol error, close the connection.
+using ExtractStatus = frame::Status;
 
 struct Extract {
   ExtractStatus status = ExtractStatus::kNeedMore;

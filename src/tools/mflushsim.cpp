@@ -70,8 +70,8 @@
 ///     --cancel ID             ask the daemon to cancel a running campaign
 ///     --list                  print every campaign the daemon knows
 ///     --shutdown              drain running campaigns, then stop the daemon
-///     --worker -              worker mode: read a job archive on stdin,
-///                             write each job's framed result archive to
+///     --worker -              worker mode: read job frames on stdin,
+///                             write each job's result frame to
 ///                             stdout as it finishes, exit (the remote
 ///                             backend subprocess entry point)
 ///     --worker-store DIR      host-side warm store for --worker: embedded
@@ -361,8 +361,8 @@ int main(int argc, char** argv) {
   }
 
   // Worker mode: the RemoteBackend subprocess entry point. Everything the
-  // run needs is inside the job archive on stdin; stdout carries only the
-  // framed results.
+  // run needs is inside the job frames on stdin; stdout carries only the
+  // result frames.
   if (worker_mode)
     return worker::run_worker(std::cin, std::cout, worker_store);
 

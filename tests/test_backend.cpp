@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/frame.h"
 #include "core/factory.h"
 #include "scratch_path.h"
 #include "sim/backend.h"
@@ -201,9 +202,8 @@ TEST(WorkerProtocol, FramesSurviveAnyChunking) {
   b.workload = "B";
   b.payload = std::make_shared<const std::vector<std::uint8_t>>(
       std::vector<std::uint8_t>(3000, 7));
-  std::vector<std::uint8_t> stream = worker::frame(
-      worker::encode_results({{0u, a}}));
-  const auto second = worker::frame(worker::encode_results({{1u, b}}));
+  std::vector<std::uint8_t> stream = worker::encode_results({{0u, a}});
+  const auto second = worker::encode_results({{1u, b}});
   stream.insert(stream.end(), second.begin(), second.end());
   for (const std::size_t step : {std::size_t{1}, std::size_t{7},
                                  std::size_t{4096}, stream.size()}) {
@@ -226,6 +226,33 @@ TEST(WorkerProtocol, FramesSurviveAnyChunking) {
   cut.feed({stream.data(), stream.size() - 1},
            [](std::span<const std::uint8_t>) {});
   EXPECT_GT(cut.pending(), 0u);
+}
+
+TEST(WorkerProtocol, OversizedHeaderIsRejectedOnArrival) {
+  // A u64 length used to be accepted whatever its size, so a damaged
+  // stream buffered until EOF. Now the header alone decides: one byte over
+  // the bound throws before any payload arrives, and the bound itself is
+  // still only "need more".
+  for (const std::size_t len :
+       {worker::kMaxFrameBytes, worker::kMaxFrameBytes + 1}) {
+    SCOPED_TRACE("announced " + std::to_string(len));
+    ArchiveWriter header;
+    header.put(frame::kResult.magic());
+    header.put(frame::kResult.version);
+    header.put(static_cast<std::uint32_t>(len));
+    worker::FrameReader frames;
+    const auto feed = [&] {
+      frames.feed(header.bytes(), [](std::span<const std::uint8_t>) {
+        FAIL() << "a bare header cannot complete a frame";
+      });
+    };
+    if (len > worker::kMaxFrameBytes) {
+      EXPECT_THROW(feed(), std::runtime_error);
+    } else {
+      feed();
+      EXPECT_EQ(frames.pending(), header.bytes().size());
+    }
+  }
 }
 
 // ---------------------------------------------- cross-backend determinism
@@ -439,6 +466,16 @@ class FakeWorkerTest : public ::testing::Test {
     return path.string();
   }
 
+  /// A worker script that writes `bytes` to its stdout, then runs `tail`.
+  std::string stdout_script(const std::vector<std::uint8_t>& bytes,
+                            const std::string& tail = "exit 0\n") {
+    const fs::path out = dir_ / "stdout.bin";
+    std::ofstream(out, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    return write_script("cat \"" + out.string() + "\"\n" + tail);
+  }
+
   /// Protocol files in the scratch dir (.mfj/.mfr archives, .r<id> parts);
   /// the stdin/stdout protocol must leave none.
   [[nodiscard]] std::size_t scratch_files() const {
@@ -504,18 +541,46 @@ TEST_F(FakeWorkerTest, NonzeroExitSurfacesTheCodeAndCleansScratch) {
 }
 
 TEST_F(FakeWorkerTest, CorruptResultFileIsRejectedAndCleaned) {
-  // The worker "succeeds" but answers with a well-framed archive of
-  // garbage: the checksum gate must reject it, not half-read it.
-  const std::string script = write_script(
-      "printf '\\016\\0\\0\\0\\0\\0\\0\\0garbage-result'\nexit 0\n");
-  expect_failure_containing(script_options(script), {"result archive"});
+  // The worker "succeeds" but answers with a well-framed result of
+  // garbage whose checksum is off: the checksum gate must reject it, not
+  // half-read it.
+  ArchiveWriter ar;
+  const std::size_t start = frame::begin(ar, frame::kResult);
+  ar.put_bytes("garbage-result", 14);
+  frame::seal(ar, start);
+  std::vector<std::uint8_t> bytes = ar.take();
+  bytes.back() ^= 0x01;
+  expect_failure_containing(script_options(stdout_script(bytes)),
+                            {"MFLUSRES", "checksum"});
 }
 
 TEST_F(FakeWorkerTest, TruncatedResultFileIsRejectedAndCleaned) {
   // A frame promising 64 bytes, cut off after 3.
-  const std::string script = write_script(
-      "printf '\\100\\0\\0\\0\\0\\0\\0\\0abc'\nexit 0\n");
-  expect_failure_containing(script_options(script), {"truncated"});
+  ArchiveWriter ar;
+  ar.put(frame::kResult.magic());
+  ar.put(frame::kResult.version);
+  ar.put(std::uint32_t{64});
+  ar.put_bytes("abc", 3);
+  expect_failure_containing(script_options(stdout_script(ar.take())),
+                            {"truncated"});
+}
+
+TEST_F(FakeWorkerTest, OversizedResultHeaderFailsBeforeEof) {
+  // A header announcing more than the stream bound, from a worker that
+  // then stays alive: the coordinator must fail the batch as soon as the
+  // header is in, not buffer until the worker exits.
+  ArchiveWriter ar;
+  ar.put(frame::kResult.magic());
+  ar.put(frame::kResult.version);
+  ar.put(static_cast<std::uint32_t>(worker::kMaxFrameBytes + 1));
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_failure_containing(
+      script_options(stdout_script(ar.take(), "exec sleep 30\n")),
+      {"exceeds the bound"});
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(waited, 10.0) << "the oversized header waited for EOF";
 }
 
 TEST_F(FakeWorkerTest, RetriesAreBoundedPerBatchWithSplitting) {
@@ -606,8 +671,7 @@ TEST_F(FakeWorkerTest, ResultsStreamBeforeTheBatchEnds) {
   // result as it arrives — not at batch end — lets this batch succeed.
   const std::vector<JobSpec> jobs = {tiny_jobs().front()};
   const RunResult expected = run_job(jobs[0]);
-  const auto bytes =
-      worker::frame(worker::encode_results({{jobs[0].id, expected}}));
+  const auto bytes = worker::encode_results({{jobs[0].id, expected}});
   const fs::path frame = dir_ / "frame0";
   std::ofstream(frame, std::ios::binary)
       .write(reinterpret_cast<const char*>(bytes.data()),

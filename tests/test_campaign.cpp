@@ -23,12 +23,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Journal geometry pinned by campaign::kFormatVersion: 12-byte header
-// (magic + version), then 33-byte records (u32 len, 21-byte payload,
-// u64 checksum). The fuzz tests below lean on these numbers; a layout
-// change must bump the version AND update them.
-constexpr std::size_t kHeader = 12;
-constexpr std::size_t kRecord = 33;
+// Journal geometry pinned by campaign::kFormatVersion: a 24-byte header
+// frame (magic, version, zero length, checksum), then 45-byte record
+// frames (16-byte frame header, 21-byte payload, u64 checksum). The fuzz
+// tests below lean on these numbers; a layout change must bump the
+// version AND update them.
+constexpr std::size_t kHeader = 24;
+constexpr std::size_t kRecord = 45;
 
 ExperimentSpec small_spec() {
   ExperimentSpec spec;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/archive.h"
+#include "common/frame.h"
 #include "sim/backend.h"
 #include "sim/campaign.h"
 #include "sim/daemon.h"
@@ -116,12 +117,14 @@ TEST(Wire, EverySingleBitFlipIsRejected) {
       std::vector<std::uint8_t> damaged = frame;
       damaged[byte] ^= static_cast<std::uint8_t>(1u << bit);
       const daemon::Extract ex = daemon::try_extract(damaged);
-      // A flip in the length prefix may legitimately read as "need more
-      // bytes" (the announced frame got longer); everything else must be
-      // kBad. What can never happen is a successful decode.
+      // A flip in the length field (bytes 12-15 of the frame header) may
+      // legitimately read as "need more bytes" (the announced frame got
+      // longer); everything else must be kBad. What can never happen is a
+      // successful decode.
       ASSERT_NE(ex.status, daemon::ExtractStatus::kFrame)
           << "byte " << byte << " bit " << bit;
-      if (byte >= sizeof(std::uint32_t)) {
+      const bool in_length = byte >= 12 && byte < frame::kHeaderBytes;
+      if (!in_length) {
         ASSERT_EQ(ex.status, daemon::ExtractStatus::kBad)
             << "byte " << byte << " bit " << bit;
         ASSERT_FALSE(ex.error.empty());
@@ -130,64 +133,54 @@ TEST(Wire, EverySingleBitFlipIsRejected) {
   }
 }
 
+/// A frame of `kind` (a possibly doctored copy of frame::kWire) holding
+/// `msg`, then `extra` stray payload bytes.
+std::vector<std::uint8_t> wire_frame(const frame::Kind& kind,
+                                     const daemon::Message* msg,
+                                     std::size_t extra = 0) {
+  ArchiveWriter out;
+  const std::size_t start = frame::begin(out, kind);
+  if (msg != nullptr) msg->save(out);
+  for (std::size_t i = 0; i < extra; ++i) out.put(std::uint8_t{0});
+  frame::seal(out, start);
+  return out.take();
+}
+
 TEST(Wire, OversizedAndZeroLengthPrefixesAreFatal) {
-  // 256 MiB announced: must fail fast, not wait for bytes that will never
-  // arrive.
+  // 256 MiB announced: must fail fast on the header alone, not wait for
+  // bytes that will never arrive.
   ArchiveWriter big;
+  big.put(frame::kWire.magic());
+  big.put(frame::kWire.version);
   big.put(std::uint32_t{256u << 20});
   EXPECT_EQ(daemon::try_extract(big.bytes()).status,
             daemon::ExtractStatus::kBad);
 
-  ArchiveWriter zero;
-  zero.put(std::uint32_t{0});
-  EXPECT_EQ(daemon::try_extract(zero.bytes()).status,
+  // A whole, checksummed frame with no message in it.
+  EXPECT_EQ(daemon::try_extract(wire_frame(frame::kWire, nullptr)).status,
             daemon::ExtractStatus::kBad);
 }
 
-std::vector<std::uint8_t> frame_of_payload(
-    const std::vector<std::uint8_t>& payload) {
-  ArchiveWriter out;
-  out.put(static_cast<std::uint32_t>(payload.size()));
-  out.put_bytes(payload.data(), payload.size());
-  out.put(fnv1a(payload));
-  return {out.bytes().begin(), out.bytes().end()};
-}
-
 TEST(Wire, WrongProtocolVersionIsRejectedByName) {
-  // A valid checksum over a payload from "the future": the version gate,
+  // A valid checksum over a frame from "the future": the version gate,
   // not the checksum, must reject it — and say so.
-  ArchiveWriter payload;
-  payload.put(daemon::kFrameMagic);
-  payload.put(daemon::kProtocolVersion + 1);
-  daemon::Message m;
-  m.save(payload);
-  const auto frame =
-      frame_of_payload({payload.bytes().begin(), payload.bytes().end()});
-  const daemon::Extract ex = daemon::try_extract(frame);
+  frame::Kind future = frame::kWire;
+  future.version = frame::kWire.version + 1;
+  const daemon::Message m;
+  const daemon::Extract ex = daemon::try_extract(wire_frame(future, &m));
   ASSERT_EQ(ex.status, daemon::ExtractStatus::kBad);
   EXPECT_NE(ex.error.find("version"), std::string::npos) << ex.error;
 }
 
 TEST(Wire, WrongMagicAndTrailingBytesAreRejected) {
-  {
-    ArchiveWriter payload;
-    payload.put(~daemon::kFrameMagic);
-    payload.put(daemon::kProtocolVersion);
-    daemon::Message{}.save(payload);
-    const auto ex = daemon::try_extract(
-        frame_of_payload({payload.bytes().begin(), payload.bytes().end()}));
-    EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
-  }
-  {
-    ArchiveWriter payload;
-    payload.put(daemon::kFrameMagic);
-    payload.put(daemon::kProtocolVersion);
-    daemon::Message{}.save(payload);
-    payload.put(std::uint8_t{0});  // one stray byte after the message
-    const auto ex = daemon::try_extract(
-        frame_of_payload({payload.bytes().begin(), payload.bytes().end()}));
-    EXPECT_EQ(ex.status, daemon::ExtractStatus::kBad);
-  }
+  const daemon::Message m;
+  frame::Kind foreign = frame::kWire;
+  foreign.tag = "MFLUSRES";
+  EXPECT_EQ(daemon::try_extract(wire_frame(foreign, &m)).status,
+            daemon::ExtractStatus::kBad);
+  // One stray byte after the message.
+  EXPECT_EQ(daemon::try_extract(wire_frame(frame::kWire, &m, 1)).status,
+            daemon::ExtractStatus::kBad);
 }
 
 TEST(Wire, FrameIoOverASocketPair) {

@@ -193,6 +193,39 @@ TEST(ExperimentSpec, RejectsMalformedText) {
                std::runtime_error);
 }
 
+TEST(ExperimentSpec, FuzzedTextParsesOrThrowsRuntimeError) {
+  // Every prefix of a sampled, DRAM-knobbed spec's text form, and every
+  // byte of it flipped, must either parse or throw std::runtime_error —
+  // never crash, hang or throw anything else.
+  ExperimentSpec spec = dram_spec();
+  spec.mode = RunMode::Sampled;
+  spec.sampled.forks = 3;
+  spec.sampled.max_rounds = 2;
+  const std::string text = spec.to_text();
+  std::size_t parsed = 0, rejected = 0;
+  const auto check = [&](const std::string& input) {
+    try {
+      (void)ExperimentSpec::from_text(input);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << "non-runtime_error escaped for input: " << input;
+    }
+  };
+  for (std::size_t n = 0; n <= text.size(); ++n) check(text.substr(0, n));
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x10, 0x20, 0x80, 0xff}) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      check(flipped);
+    }
+  }
+  // Both outcomes occur, so the fuzz is not vacuous.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(ExperimentSpec, TextAcceptsCommentsAndCodeWorkloads) {
   const ExperimentSpec spec = ExperimentSpec::from_text(
       "# a hand-written study\n"

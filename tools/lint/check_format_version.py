@@ -3,11 +3,14 @@
 
 The binary archive has no framing — field order IS the format — so any
 change to a serialized layout silently invalidates every stored artifact
-(snapshots, warm-store entries, campaign journals, worker wire messages)
-unless the matching format-version constant is bumped and old artifacts are
-rejected at load time.
+(snapshots, warm-store entries, specs, campaign journals, worker and wire
+messages) unless the matching format version is bumped and old artifacts
+are rejected at load time.
 
-This gate compares two git revisions (typically the PR base and HEAD):
+Every stored file and byte stream is a frame (src/common/frame.h), and the
+frame table there is the list of version domains: each row names its
+domain, its magic and its version. This gate compares two git revisions
+(typically the PR base and HEAD):
 
   1. parse every C++ source under src/ at both revisions (tools/lint/cpplite
      structural parser — same engine as mflush_lint);
@@ -15,10 +18,14 @@ This gate compares two git revisions (typically the PR base and HEAD):
      save/load(-like) pair, the ordered list of serialized members plus the
      normalized bodies of its serialization methods; for every type reached
      by raw memcpy (put/put_vec/put_deque/put_map), the full ordered member
-     layout including explicit padding;
+     layout including explicit padding; for every function that names a
+     frame kind (`frame::kSpec`, ...), its normalized body — the
+     container's payload writer and reader; and in every frame domain, the
+     codec itself (the functions of src/common/frame.{h,cpp}), since the
+     header layout is shared;
   3. map each type to the version domain that owns its bytes (see
-     DOMAINS below) and compare signatures;
-  4. fail if a domain's signature changed but its version constant did not.
+     _PATH_DOMAINS below) and compare signatures;
+  4. fail if a domain's signature changed but its version did not.
 
 Usage:
     python3 tools/lint/check_format_version.py --base origin/main
@@ -41,19 +48,35 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplite  # noqa: E402
 import mflush_lint  # noqa: E402
 
-# Domain -> (version header, constant name). A domain owns the bytes of the
-# artifacts stamped with that constant.
-DOMAINS = {
+FRAME_TABLE = "src/common/frame.h"
+_CODEC_PREFIX = "src/common/frame."
+
+# One row of the frame table:
+#   inline constexpr Kind kSpec{"spec", "MFLUSPEC", 3};
+_ROW_RE = re.compile(
+    r"\binline\s+constexpr\s+Kind\s+(k\w+)\s*\{\s*\"(\w+)\"\s*,\s*"
+    r"\"([^\"]*)\"\s*,\s*(\d+)\s*\}"
+)
+
+# Layout domains outside the frame table: the MFLT trace file is a
+# user-facing import format with its own header, versioned in place.
+_OTHER_DOMAINS = {"trace": ("src/trace/trace_io.h", "kTraceVersion")}
+
+# Where each frame domain kept its version before the frame table existed.
+# Read only at revisions without src/common/frame.h, so a diff across the
+# move still compares versions instead of treating every domain as new.
+_PRE_TABLE_VERSIONS = {
     "snapshot": ("src/sim/snapshot.h", "kFormatVersion"),
     "campaign": ("src/sim/campaign.h", "kFormatVersion"),
     "warmstore": ("src/sim/warmstore.h", "kFormatVersion"),
     "worker": ("src/sim/backend.h", "kProtocolVersion"),
     "daemon": ("src/sim/wire.h", "kProtocolVersion"),
-    "trace": ("src/trace/trace_io.h", "kTraceVersion"),
+    "spec": ("src/sim/experiment_spec.cpp", "kSpecVersion"),
 }
 
-# File-path ownership. First match wins; default is the snapshot stream
-# (chip state save_state/load_state chains all feed snapshot::capture).
+# File-path ownership of save/load types. First match wins; default is the
+# snapshot stream (chip state save_state/load_state chains all feed
+# snapshot::capture).
 _PATH_DOMAINS = [
     ("src/sim/warmstore", "warmstore"),
     ("src/sim/campaign", "campaign"),
@@ -77,6 +100,16 @@ def domain_of(path: str) -> str:
         if rel.startswith(prefix):
             return dom
     return "snapshot"
+
+
+def frame_rows(text: str) -> dict[str, tuple[str, int]]:
+    """Frame table rows: kind identifier -> (domain, version)."""
+    # Line comments only: the rows' string literals must survive.
+    code = re.sub(r"//[^\n]*", "", text)
+    return {
+        m.group(1): (m.group(2), int(m.group(4)))
+        for m in _ROW_RE.finditer(code)
+    }
 
 
 def _norm(text: str) -> str:
@@ -109,13 +142,91 @@ def _tree_at(root: str, rev: str | None) -> mflush_lint.TreeModel:
     return model
 
 
-def _signatures(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
-    """domain -> {qualified type name -> layout signature}."""
-    sigs: dict[str, dict[str, str]] = {d: {} for d in DOMAINS}
+class Revision:
+    """One revision's parsed sources, frame table and version domains."""
+
+    def __init__(self, model: mflush_lint.TreeModel) -> None:
+        self.model = model
+        self.texts = {fm.path.replace("\\", "/"): fm.text for fm in model.files}
+        table = self.texts.get(FRAME_TABLE)
+        self.rows = frame_rows(table) if table is not None else {}
+        # Serialization helpers by source stem (x.h + x.cpp): two files may
+        # each define their own `put_policy`, and a body calls its own.
+        self.local_helpers: dict[str, dict[str, cpplite.Method]] = {}
+        for fm in model.files:
+            stem = os.path.splitext(fm.path.replace("\\", "/"))[0]
+            self.local_helpers.setdefault(stem, {}).update(fm.helpers)
+
+    def expand(self, body: str, path: str) -> str:
+        """`body` from `path`, its helper calls expanded, normalized."""
+        stem = os.path.splitext(path.replace("\\", "/"))[0]
+        helpers = {**self.model.helpers, **self.local_helpers.get(stem, {})}
+        return _norm(mflush_lint._expand_helpers(body, helpers))
+
+    def frame_domains(self) -> list[str]:
+        """Frame domains in table order (pre-table names without a table)."""
+        if not self.rows:
+            return list(_PRE_TABLE_VERSIONS)
+        out: list[str] = []
+        for dom, _version in self.rows.values():
+            if dom not in out:
+                out.append(dom)
+        return out
+
+    def version(self, dom: str) -> str | None:
+        """The domain's version ("5"; "5/6" if its rows disagree), or None."""
+        if self.rows:
+            found = sorted({v for d, v in self.rows.values() if d == dom})
+            if found:
+                return "/".join(str(v) for v in found)
+            if dom not in _OTHER_DOMAINS:
+                return None
+        where = _OTHER_DOMAINS.get(dom) or _PRE_TABLE_VERSIONS.get(dom)
+        if where is None or where[0] not in self.texts:
+            return None
+        m = re.search(rf"\b{where[1]}\s*=\s*(\d+)", self.texts[where[0]])
+        return m.group(1) if m else None
+
+    def constant_of(self, dom: str) -> str:
+        """Where a bump of `dom` goes, for messages."""
+        idents = [k for k, (d, _v) in self.rows.items() if d == dom]
+        if idents:
+            kinds = ", ".join(f"frame::{k}" for k in idents)
+            return f"the version of {kinds} in {FRAME_TABLE}"
+        header, const = _OTHER_DOMAINS.get(dom) or _PRE_TABLE_VERSIONS[dom]
+        return f"{header}:{const}"
+
+
+def _function_blocks(
+    fm: cpplite.FileModel,
+) -> list[tuple[str, str]]:
+    """(name, body) of every function defined in a file, lambdas inside a
+    function counted as part of its body."""
+    out: list[tuple[str, str]] = []
+
+    def walk(blocks: list[cpplite.Block]) -> None:
+        for blk in blocks:
+            header = blk.header.strip()
+            if re.search(r"\b(namespace|class|struct|union|enum)\b[^()]*$",
+                         header) or "(" not in header:
+                walk(blk.children)
+                continue
+            m = re.search(r"([A-Za-z_~][\w:~]*)\s*\(", header)
+            if m and m.group(1) not in cpplite._SKIP_KEYWORDS:
+                out.append((m.group(1), blk.body(fm.clean)))
+
+    walk(cpplite.parse_blocks(fm.clean))
+    return out
+
+
+def _signatures(rev: Revision, domains: list[str]) -> dict[str, dict[str, str]]:
+    """domain -> {qualified type or function name -> layout signature}."""
+    model = rev.model
+    sigs: dict[str, dict[str, str]] = {d: {} for d in domains}
 
     def put(dom: str, key: str, sig: str) -> None:
-        sigs[dom][key] = sigs[dom].get(key, "") + sig
-
+        if dom in sigs:
+            sigs[dom][key] = sigs[dom].get(key, "") + sig
     # Types with explicit serialization methods: serialized member list
     # (transient members are not in the stream) + normalized method bodies
     # with delegated helpers expanded.
@@ -130,9 +241,7 @@ def _signatures(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
             for m in mflush_lint._checked_members(ci)
         )
         for name in sorted(save_ish):
-            body = _norm(
-                mflush_lint._expand_helpers(save_ish[name].body, model.helpers)
-            )
+            body = rev.expand(save_ish[name].body, ci.file)
             # The content key deliberately omits wire identity and is
             # consumed by the campaign result cache, not the worker wire.
             mdom = "campaign" if name == "save_content" else dom
@@ -144,7 +253,7 @@ def _signatures(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
         for method in (pair.save, pair.load):
             if method is None:
                 continue
-            body = _norm(mflush_lint._expand_helpers(method.body, model.helpers))
+            body = rev.expand(method.body, ci.file if ci else "")
             put(dom, f"free:{pair.suffix}", f"[{method.name}]{body}")
 
     # Raw-memcpy'd types: every byte of the object lands in the stream, so
@@ -155,20 +264,23 @@ def _signatures(model: mflush_lint.TreeModel) -> dict[str, dict[str, str]]:
             continue
         layout = ";".join(f"{m.name}:{_norm(m.type)}" for m in ci.members)
         put(domain_of(ci.file), qname, f"[memcpy]{layout}")
+
+    # Containers: a function that names a frame kind writes or reads that
+    # kind's payload, so its body (helpers expanded) is part of the kind's
+    # layout. The codec's own functions lay out every frame's header.
+    frame_doms = {d for d, _v in rev.rows.values()}
+    for fm in model.files:
+        path = fm.path.replace("\\", "/")
+        for name, body in _function_blocks(fm):
+            sig = rev.expand(body, path)
+            if path.startswith(_CODEC_PREFIX):
+                for dom in frame_doms:
+                    put(dom, f"codec:{name}", f"[{name}]{sig}")
+                continue
+            for ident in sorted(set(re.findall(r"\bframe::(k\w+)\b", body))):
+                if ident in rev.rows:
+                    put(rev.rows[ident][0], f"io:{name}", f"[{ident}]{sig}")
     return sigs
-
-
-def _version_at(root: str, rev: str | None, dom: str) -> int | None:
-    header, const = DOMAINS[dom]
-    try:
-        if rev is None:
-            text = open(os.path.join(root, header)).read()
-        else:
-            text = _git(root, "show", f"{rev}:{header}")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    m = re.search(rf"\b{const}\s*=\s*(\d+)", text)
-    return int(m.group(1)) if m else None
 
 
 def main(argv: list[str]) -> int:
@@ -187,37 +299,42 @@ def main(argv: list[str]) -> int:
         print(f"check_format_version: cannot read base {args.base!r}: "
               f"{e.stderr.strip()}", file=sys.stderr)
         return 2
-    head_model = _tree_at(root, args.head)
-    base_sigs = _signatures(base_model)
-    head_sigs = _signatures(head_model)
+    base = Revision(base_model)
+    head = Revision(_tree_at(root, args.head))
+    domains = list(
+        dict.fromkeys(
+            head.frame_domains() + base.frame_domains() + list(_OTHER_DOMAINS)
+        )
+    )
+    base_sigs = _signatures(base, domains)
+    head_sigs = _signatures(head, domains)
 
     failures = 0
-    for dom in DOMAINS:
+    for dom in domains:
         old, new = base_sigs[dom], head_sigs[dom]
         if old == new:
             continue
-        v_old = _version_at(root, args.base, dom)
-        v_new = _version_at(root, args.head, dom)
+        v_old = base.version(dom)
+        v_new = head.version(dom)
         changed = sorted(
             k for k in old.keys() | new.keys() if old.get(k) != new.get(k)
         )
         if v_old is None:
             continue  # domain born in this change; its version is fresh
         if v_old == v_new:
-            header, const = DOMAINS[dom]
             print(
                 f"check_format_version: serialized layout of domain "
-                f"'{dom}' changed but {header}:{const} is still {v_new}.\n"
-                f"  changed types: {', '.join(changed)}\n"
-                f"  Bump {const} (old artifacts must be rejected, not "
-                f"misread) or revert the layout change."
+                f"'{dom}' changed but its version is still {v_new}.\n"
+                f"  changed: {', '.join(changed)}\n"
+                f"  Bump {head.constant_of(dom)} (old artifacts must be "
+                f"rejected, not misread) or revert the layout change."
             )
             failures += 1
         else:
             print(
                 f"check_format_version: domain '{dom}' layout changed, "
                 f"version bumped {v_old} -> {v_new} "
-                f"({len(changed)} type(s)) — ok"
+                f"({len(changed)} signature(s)) — ok"
             )
     if failures == 0:
         print("check_format_version: all serialized-layout domains clean")

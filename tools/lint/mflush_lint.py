@@ -169,7 +169,9 @@ def _expand_helpers(
         return body
     out: list[str] = []
     pos = 0
-    for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", body):
+    # Unqualified calls only: `buf.begin()` or `frame::seal(...)` name
+    # something else than a local serialization helper of that name.
+    for m in re.finditer(r"(?<![.>:])\b([A-Za-z_]\w*)\s*\(", body):
         h = helpers.get(m.group(1))
         if h is None:
             continue

@@ -90,13 +90,54 @@ def run_case(fixture: str, cxx: str) -> list[str]:
     return errors
 
 
-# Format-version gate fixtures: head fixture -> (expected exit code,
-# substrings the gate must print). The base revision is always
-# gate_wire_v1.h committed as src/sim/wire.h in a scratch repository.
+# Format-version gate fixtures. The base revision commits GATE_BASE into a
+# scratch repository; each case overlays its files on that base and runs
+# check_format_version.py against it: case -> (overlay {repo path:
+# fixture}, expected exit code, substrings the gate must print).
+GATE_BASE = {
+    "src/common/frame.h": "gate_frame_v1.h",
+    "src/common/frame.cpp": "gate_codec_v1.cpp",
+    "src/sim/wire.h": "gate_wire_v1.h",
+    "src/sim/campaign.cpp": "gate_journal_v1.cpp",
+}
 GATE_CASES = {
-    "gate_wire_v1.h": (0, ["all serialized-layout domains clean"]),
-    "gate_wire_reordered.h": (1, ["domain 'daemon'", "kProtocolVersion"]),
-    "gate_wire_bumped.h": (0, ["domain 'daemon'", "1 -> 2"]),
+    "unchanged": ({}, 0, ["all serialized-layout domains clean"]),
+    "message_reordered": (
+        {"src/sim/wire.h": "gate_wire_reordered.h"},
+        1,
+        ["domain 'daemon'", "frame::kWire"],
+    ),
+    "message_reordered_bumped": (
+        {
+            "src/sim/wire.h": "gate_wire_reordered.h",
+            "src/common/frame.h": "gate_frame_v2.h",
+        },
+        0,
+        ["domain 'daemon'", "1 -> 2"],
+    ),
+    "payload_reordered": (
+        {"src/sim/wire.h": "gate_wire_payload_reordered.h"},
+        1,
+        ["domain 'daemon'", "io:encode_frame", "frame::kWire"],
+    ),
+    "payload_reordered_bumped": (
+        {
+            "src/sim/wire.h": "gate_wire_payload_reordered.h",
+            "src/common/frame.h": "gate_frame_v2.h",
+        },
+        0,
+        ["domain 'daemon'", "1 -> 2"],
+    ),
+    "shadowed_helper_reordered": (
+        {"src/sim/wire.h": "gate_wire_helper_reordered.h"},
+        1,
+        ["domain 'daemon'", "io:encode_frame"],
+    ),
+    "header_swapped": (
+        {"src/common/frame.cpp": "gate_codec_swapped.cpp"},
+        1,
+        ["domain 'daemon'", "domain 'campaign'", "codec:begin"],
+    ),
 }
 
 
@@ -108,8 +149,6 @@ def run_gate_cases() -> list[str]:
     errors: list[str] = []
     fixdir = os.path.join(ROOT, FIXDIR)
     with tempfile.TemporaryDirectory(prefix="mflush-gate-") as tmp:
-        wire = os.path.join(tmp, "src", "sim", "wire.h")
-        os.makedirs(os.path.dirname(wire))
 
         def git(*args: str) -> None:
             subprocess.run(
@@ -125,14 +164,20 @@ def run_gate_cases() -> list[str]:
                 },
             )
 
+        def place(files: dict[str, str]) -> None:
+            for rel, fixture in files.items():
+                dest = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(dest), exist_ok=True)
+                shutil.copyfile(os.path.join(fixdir, fixture), dest)
+
         git("init", "-q")
-        shutil.copyfile(os.path.join(fixdir, "gate_wire_v1.h"), wire)
-        git("add", "src/sim/wire.h")
+        place(GATE_BASE)
+        git("add", "src")
         git("commit", "-q", "-m", "base")
 
-        for fixture in sorted(GATE_CASES):
-            expect_rc, must = GATE_CASES[fixture]
-            shutil.copyfile(os.path.join(fixdir, fixture), wire)
+        for case in sorted(GATE_CASES):
+            overlay, expect_rc, must = GATE_CASES[case]
+            place({**GATE_BASE, **overlay})
             proc = subprocess.run(
                 [sys.executable, GATE, "--base", "HEAD", "--root", tmp],
                 capture_output=True,
@@ -141,17 +186,17 @@ def run_gate_cases() -> list[str]:
             out = proc.stdout + proc.stderr
             if proc.returncode != expect_rc:
                 errors.append(
-                    f"gate/{fixture}: exit {proc.returncode}, expected "
+                    f"gate/{case}: exit {proc.returncode}, expected "
                     f"{expect_rc}\n{out}"
                 )
             for s in must:
                 if s not in out:
                     errors.append(
-                        f"gate/{fixture}: expected output to contain "
+                        f"gate/{case}: expected output to contain "
                         f"{s!r}\n{out}"
                     )
             status = "ok" if proc.returncode == expect_rc else "FAIL"
-            print(f"lint-selftest: gate/{fixture}: {status}")
+            print(f"lint-selftest: gate/{case}: {status}")
     return errors
 
 
